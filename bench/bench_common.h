@@ -128,14 +128,16 @@ inline RunResult RunSilkMoth(const Workload& w) {
     return r;
   }
   WallTimer timer;
+  ShardedSearchStats stats;
   if (w.references.empty()) {
-    r.results = engine.DiscoverSelf(&r.stats).size();
+    r.results = engine.DiscoverSelf(&stats).size();
   } else {
     for (const SetRecord& ref : w.references) {
-      r.results += engine.Search(ref, &r.stats).size();
+      r.results += engine.Search(ref, &stats).size();
     }
   }
   r.seconds = timer.ElapsedSeconds();
+  r.stats = stats.Total();
   return r;
 }
 

@@ -24,8 +24,10 @@ RunResult RunFastJoin(const Workload& w) {
     return r;
   }
   WallTimer timer;
-  r.results = baseline.DiscoverSelf(&r.stats).size();
+  ShardedSearchStats stats;
+  r.results = baseline.DiscoverSelf(&stats).size();
   r.seconds = timer.ElapsedSeconds();
+  r.stats = stats.Total();
   return r;
 }
 

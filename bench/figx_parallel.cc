@@ -1,9 +1,9 @@
 // Extension (not a paper figure): parallel + sharded discovery scaling.
 // The paper leaves distribution as future work; this repository adds
 // (a) shared-memory parallelism over reference sets within one index,
-// (b) a sharded engine that partitions the indexed collection into
-// contiguous shards, each with its own CSR index (the primitive behind a
-// multi-process split), and (c) query-vs-corpus mode: an external reference
+// (b) sharding: the engine partitions the indexed collection into
+// Options::num_shards contiguous shards, each with its own CSR index (the
+// primitive behind a multi-process split), and (c) query-vs-corpus mode: an external reference
 // block streamed against the prebuilt indexes (the serve-traffic shape).
 // Output must be identical at every thread count and every shard count —
 // verified per row.
@@ -12,7 +12,6 @@
 
 #include "bench/histogram.h"
 #include "bench_common.h"
-#include "core/sharded_engine.h"
 #include "datagen/webtable.h"
 
 namespace {
@@ -20,8 +19,8 @@ namespace {
 using namespace silkmoth;
 using namespace silkmoth::bench;
 
-/// One timed sharded-engine discovery run (index build included in
-/// build(s), excluded from time(s)).
+/// One timed discovery run (index build included in build(s), excluded from
+/// time(s)).
 struct ShardedRun {
   double build_seconds = 0.0;
   double seconds = 0.0;
@@ -31,7 +30,7 @@ struct ShardedRun {
 ShardedRun RunSharded(const Workload& w) {
   ShardedRun r;
   WallTimer build_timer;
-  ShardedEngine engine(&w.data, w.options);
+  SilkMoth engine(&w.data, w.options);
   r.build_seconds = build_timer.ElapsedSeconds();
   if (!engine.ok()) {
     std::fprintf(stderr, "bad options: %s\n", engine.error().c_str());
@@ -75,7 +74,7 @@ int main() {
   // where the partitioning overhead sits before the work is actually
   // distributed across processes. Threads are fixed at 4 to keep the two
   // sweeps comparable.
-  std::printf("\n-- shards (ShardedEngine, threads=4) --\n");
+  std::printf("\n-- shards (threads=4) --\n");
   TablePrinter shards_table({"shards", "build(s)", "time(s)", "refs/s",
                              "results", "identical"});
   for (int shards : {1, 2, 4, 8, 16}) {
@@ -125,7 +124,7 @@ int main() {
     w.options.num_threads = 4;
     w.options.num_shards = shards;
     WallTimer build_timer;
-    ShardedEngine engine(&w.data, w.options);
+    SilkMoth engine(&w.data, w.options);
     const double build_seconds = build_timer.ElapsedSeconds();
     if (!engine.ok()) {
       std::fprintf(stderr, "bad options: %s\n", engine.error().c_str());

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
 
   WallTimer timer;
   size_t total = 0;
-  SearchStats stats;
+  ShardedSearchStats stats;
   for (uint32_t r : refs) {
     auto matches = engine.Search(data.sets[r], &stats);
     for (const auto& m : matches) {
@@ -64,10 +64,11 @@ int main(int argc, char** argv) {
       }
     }
   }
+  const SearchStats funnel = stats.Total();
   std::printf("\n%zu joinable column pairs in %.3fs "
               "(%zu candidates -> %zu after filters -> %zu verified)\n",
-              total, timer.ElapsedSeconds(), stats.initial_candidates,
-              stats.after_nn, stats.verifications);
+              total, timer.ElapsedSeconds(), funnel.initial_candidates,
+              funnel.after_nn, funnel.verifications);
 
   // Spot-check exactness against brute force on the first reference.
   if (!refs.empty()) {

@@ -42,12 +42,13 @@ int main() {
     return 1;
   }
 
-  SearchStats stats;
+  ShardedSearchStats stats;
   auto matches = engine.Search(location, &stats);
+  const SearchStats funnel = stats.Total();
 
   std::printf("SET-CONTAINMENT search, delta=%.2f\n", options.delta);
   std::printf("candidates touched: %zu, verified: %zu\n",
-              stats.initial_candidates, stats.verifications);
+              funnel.initial_candidates, funnel.verifications);
   for (const auto& m : matches) {
     std::printf("  related set S%u: matching=%.3f containment=%.3f\n",
                 m.set_id + 1, m.matching_score, m.relatedness);

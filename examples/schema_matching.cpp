@@ -45,11 +45,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     WallTimer timer;
-    SearchStats stats;
+    ShardedSearchStats stats;
     auto pairs = engine.DiscoverSelf(&stats);
+    const SearchStats funnel = stats.Total();
     std::printf("%-6.2f %-10.3f %-10zu %-12zu %-8zu\n", alpha,
                 timer.ElapsedSeconds(), pairs.size(),
-                stats.initial_candidates, stats.verifications);
+                funnel.initial_candidates, funnel.verifications);
   }
   return 0;
 }

@@ -44,12 +44,13 @@ int main(int argc, char** argv) {
               num_titles, options.delta, options.alpha,
               options.EffectiveQ());
   WallTimer timer;
-  SearchStats stats;
+  ShardedSearchStats stats;
   auto pairs = engine.DiscoverSelf(&stats);
+  const SearchStats funnel = stats.Total();
   std::printf("found %zu related title pairs in %.3fs "
               "(%zu candidates, %zu verified)\n\n",
-              pairs.size(), timer.ElapsedSeconds(), stats.initial_candidates,
-              stats.verifications);
+              pairs.size(), timer.ElapsedSeconds(), funnel.initial_candidates,
+              funnel.verifications);
 
   const size_t show = pairs.size() < 10 ? pairs.size() : 10;
   for (size_t i = 0; i < show; ++i) {

@@ -26,12 +26,13 @@ FastJoin::FastJoin(const Collection* data, Options options)
 }
 
 std::vector<SearchMatch> FastJoin::Search(const SetRecord& ref,
-                                          SearchStats* stats) const {
+                                          ShardedSearchStats* stats) const {
   if (!ok()) return {};
   return engine_.Search(ref, stats);
 }
 
-std::vector<PairMatch> FastJoin::DiscoverSelf(SearchStats* stats) const {
+std::vector<PairMatch> FastJoin::DiscoverSelf(
+    ShardedSearchStats* stats) const {
   if (!ok()) return {};
   return engine_.DiscoverSelf(stats);
 }

@@ -31,8 +31,9 @@ class FastJoin {
   const Options& options() const { return options_; }
 
   std::vector<SearchMatch> Search(const SetRecord& ref,
-                                  SearchStats* stats = nullptr) const;
-  std::vector<PairMatch> DiscoverSelf(SearchStats* stats = nullptr) const;
+                                  ShardedSearchStats* stats = nullptr) const;
+  std::vector<PairMatch> DiscoverSelf(
+      ShardedSearchStats* stats = nullptr) const;
 
  private:
   SilkMoth engine_;

@@ -54,7 +54,7 @@ struct WorkerState {
 /// `count_results` (round 0) — later sustained rounds repeat byte-identical
 /// work, so counting them would just scale the deterministic fields by a
 /// nondeterministic round count.
-void ServeSlice(const ShardedEngine& engine,
+void ServeSlice(const SilkMoth& engine,
                 const std::vector<ReferenceBlock>& blocks, size_t begin,
                 size_t end, bool count_results, WorkerState* state) {
   for (size_t k = begin; k < end; ++k) {
@@ -68,7 +68,7 @@ void ServeSlice(const ShardedEngine& engine,
 }
 
 /// Top-k variant of ServeSlice: each reference set of a request runs
-/// SearchTopK against the single-index engine. Query-side accounting
+/// SearchTopK against the single-shard engine. Query-side accounting
 /// (query_sets, oov_tokens) is stamped the way Discover stamps it for
 /// external blocks, so the funnel reads the same across serving shapes.
 void ServeTopKSlice(const SilkMoth& engine, const Collection& pool,
@@ -76,7 +76,7 @@ void ServeTopKSlice(const SilkMoth& engine, const Collection& pool,
                     size_t end, size_t top_k, bool count_results,
                     WorkerState* state) {
   for (size_t k = begin; k < end; ++k) {
-    SearchStats* stats = count_results ? &state->funnel.per_shard[0] : nullptr;
+    ShardedSearchStats* stats = count_results ? &state->funnel : nullptr;
     WallTimer timer;
     size_t pairs = 0;
     for (uint32_t r = blocks[k].range.begin; r < blocks[k].range.end; ++r) {
@@ -86,8 +86,9 @@ void ServeTopKSlice(const SilkMoth& engine, const Collection& pool,
     state->completed++;
     if (count_results) {
       state->pairs += pairs;
-      stats->query_sets += blocks[k].range.end - blocks[k].range.begin;
-      stats->oov_tokens += blocks[k].oov_tokens;
+      stats->per_shard[0].query_sets +=
+          blocks[k].range.end - blocks[k].range.begin;
+      stats->per_shard[0].oov_tokens += blocks[k].oov_tokens;
     }
   }
 }
@@ -203,9 +204,9 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
               : corpus_raw,
       tok, options.EffectiveQ());
 
-  // Standard serving goes through ShardedEngine::Discover; top-k serving
-  // goes through the single-index SilkMoth::SearchTopK (the floating-floor
-  // pass has no sharded counterpart), so top-k specs must be single-shard.
+  // Standard serving goes through SilkMoth::Discover; top-k serving goes
+  // through SilkMoth::SearchTopK (the floating-floor pass is single-index),
+  // so top-k specs must be single-shard.
   // Serve-lane specs pack the corpus into an in-memory Snapshot and start a
   // resident ServeEngine instead — requests then travel the daemon's
   // admission/worker path.
@@ -224,8 +225,7 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
            "': delta_sets runs the direct lane only; top_k must be 0 and "
            "serve false";
   }
-  std::optional<ShardedEngine> engine;
-  std::optional<SilkMoth> single;
+  std::optional<SilkMoth> engine;
   std::optional<serve::ServeEngine> served;
   if (serving) {
     serve::ServeOptions so;
@@ -243,11 +243,6 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
     if (!err.empty()) {
       return "workload '" + spec.name + "': " + err;
     }
-  } else if (topk) {
-    single.emplace(&corpus, options);
-    if (!single->ok()) {
-      return "workload '" + spec.name + "': " + single->error();
-    }
   } else {
     engine.emplace(&corpus, options);
     if (!engine->ok()) {
@@ -255,9 +250,8 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
     }
   }
   const size_t num_shards =
-      topk ? 1
-           : (serving ? static_cast<size_t>(std::max(options.num_shards, 1))
-                      : engine->num_shards());
+      serving ? static_cast<size_t>(std::max(options.num_shards, 1))
+              : engine->num_shards();
 
   // The timed ingest: the withheld tail goes through one DeltaShard batch,
   // interning its OOV tokens into the shared dictionary — the base-then-
@@ -418,7 +412,7 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
         WorkerState* state = &states[w];
         const auto serve = [&](bool count_results) {
           if (topk) {
-            ServeTopKSlice(*single, query_pool, blocks, begin, end,
+            ServeTopKSlice(*engine, query_pool, blocks, begin, end,
                            spec.top_k, count_results, state);
           } else if (dynamic) {
             ServeDeltaSlice(universe, views, options, blocks, begin, end,

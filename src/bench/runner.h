@@ -71,17 +71,17 @@ struct BenchResult {
   uint64_t serve_worker_faults = 0;      ///< Injected worker failures.
 };
 
-/// Runs `spec` end to end: synthesize the corpus, build the sharded engine,
+/// Runs `spec` end to end: synthesize the corpus, build the engine,
 /// generate the request stream, drive it closed-loop or sustained with
 /// spec.workers client threads, and fill `*out`. Returns "" on success or a
 /// human-readable error (invalid options, empty corpus).
 ///
 /// Execution contract: requests are external ReferenceBlocks served through
-/// ShardedEngine::Discover — the same DiscoverAcrossShards driver every
-/// other discovery mode uses — each request single-threaded
+/// SilkMoth::Discover — the same DiscoverAcrossShards driver every other
+/// discovery mode uses — each request single-threaded
 /// (options.num_threads is forced to 1), concurrency supplied by `workers`
 /// closed-loop clients over disjoint slices of the pre-generated stream.
-/// Specs with `top_k > 0` serve each reference through the single-index
+/// Specs with `top_k > 0` serve each reference through
 /// SilkMoth::SearchTopK instead (the floating-floor pass; requires
 /// num_shards == 1) with the same slicing and round-0 counting rules.
 /// Specs with `serve == true` drive an in-process serve::ServeEngine over

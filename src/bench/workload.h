@@ -77,8 +77,8 @@ struct WorkloadSpec {
 
   /// When positive, each request runs SearchTopK(ref, top_k) instead of
   /// Search — the KOIOS-style floating-floor serving shape. Top-k serving
-  /// is single-index (SilkMoth, not ShardedEngine), so specs using it must
-  /// keep num_shards at 1.
+  /// is single-index (SilkMoth::SearchTopK returns empty on more shards), so
+  /// specs using it must keep num_shards at 1.
   size_t top_k = 0;
 
   /// When positive, the corpus's last `delta_sets` sets are withheld from

@@ -1,123 +1,102 @@
 #include "core/engine.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "core/query_scratch.h"
+#include "core/sharded_engine.h"
 
 namespace silkmoth {
+namespace {
+
+/// One scratch per thread, reused across calls and shards: repeated
+/// searches pay the dense-array allocation once (the scratch grows to any
+/// collection it sees and epoch-stamping keeps stale state invisible, which
+/// makes cross-shard reuse exactly as safe as cross-reference reuse).
+/// ShrinkTo bounds the retention when a past query against a much larger
+/// collection left oversized buffers behind.
+QueryScratch& ThreadScratch(size_t num_sets) {
+  static thread_local QueryScratch scratch;
+  scratch.ShrinkTo(num_sets);
+  return scratch;
+}
+
+}  // namespace
 
 SilkMoth::SilkMoth(const Collection* data, Options options)
     : data_(data), options_(options) {
   error_ = options_.Validate();
-  if (error_.empty()) index_.Build(*data_);
+  if (!error_.empty()) return;
+  // Validate() has already rejected num_shards < 1.
+  ranges_ = ComputeShardRanges(*data_,
+                               static_cast<uint32_t>(options_.num_shards));
+  indexes_ = BuildShardIndexes(*data_, ranges_, options_.num_threads);
+}
+
+const InvertedIndex& SilkMoth::index() const {
+  static const InvertedIndex kNoIndex;
+  return indexes_.empty() ? kNoIndex : indexes_.front();
+}
+
+void SilkMoth::PrepareStats(ShardedSearchStats* stats) const {
+  if (stats != nullptr && stats->per_shard.size() != num_shards()) {
+    stats->Reset(num_shards());
+  }
 }
 
 std::vector<SearchMatch> SilkMoth::Search(const SetRecord& ref,
-                                          SearchStats* stats) const {
+                                          ShardedSearchStats* stats) const {
   if (!ok()) return {};
-  // One scratch per thread, reused across calls: repeated searches pay the
-  // dense-array allocation once (the scratch grows to any collection it
-  // sees and epoch-stamping keeps stale state invisible). ShrinkTo bounds
-  // the retention when a past query against a much larger collection left
-  // oversized buffers behind.
-  static thread_local QueryScratch scratch;
-  scratch.ShrinkTo(data_->sets.size());
-  return RunSearchPass(ref, *data_, index_, options_, kNoExclude, stats,
-                       &scratch);
+  PrepareStats(stats);
+  QueryScratch& scratch = ThreadScratch(data_->sets.size());
+  std::vector<SearchMatch> results;
+  for (size_t s = 0; s < num_shards(); ++s) {
+    if (ranges_[s].begin == ranges_[s].end) continue;  // Empty shard.
+    std::vector<SearchMatch> matches = RunSearchPass(
+        ref, *data_, indexes_[s], options_, kNoExclude,
+        stats != nullptr ? &stats->per_shard[s] : nullptr, &scratch,
+        ranges_[s]);
+    // Shard ranges are disjoint and ascending and each shard's matches are
+    // sorted by set id, so appending keeps the global set-id order.
+    if (results.empty()) {
+      results = std::move(matches);
+    } else {
+      results.insert(results.end(), matches.begin(), matches.end());
+    }
+  }
+  return results;
 }
 
 std::vector<SearchMatch> SilkMoth::SearchTopK(const SetRecord& ref, size_t k,
-                                              SearchStats* stats) const {
-  if (!ok() || k == 0) return {};
+                                              ShardedSearchStats* stats) const {
+  if (!ok() || k == 0 || num_shards() > 1) return {};
+  PrepareStats(stats);
+  if (ranges_[0].begin == ranges_[0].end) return {};  // Empty collection.
   // The pass runs in top-k mode: it keeps a k-best heap during verification
   // and threads the heap's k-th-best score into the verifier as a floating
   // floor, so candidates whose upper bound cannot reach the current top k
   // are rejected without any matching solve. The returned matches are
   // already the exact top k, sorted best-first.
-  static thread_local QueryScratch scratch;
-  scratch.ShrinkTo(data_->sets.size());
-  return RunSearchPass(ref, *data_, index_, options_, kNoExclude, stats,
-                       &scratch, SetIdRange{}, k);
+  return RunSearchPass(ref, *data_, indexes_[0], options_, kNoExclude,
+                       stats != nullptr ? &stats->per_shard[0] : nullptr,
+                       &ThreadScratch(data_->sets.size()), ranges_[0], k);
 }
 
 std::vector<PairMatch> SilkMoth::Discover(const Collection& refs,
-                                          SearchStats* stats) const {
+                                          ShardedSearchStats* stats) const {
   return Discover(ReferenceBlock::External(refs), stats);
 }
 
-std::vector<PairMatch> SilkMoth::DiscoverSelf(SearchStats* stats) const {
+std::vector<PairMatch> SilkMoth::DiscoverSelf(ShardedSearchStats* stats) const {
   return Discover(ReferenceBlock::SelfJoin(*data_), stats);
 }
 
 std::vector<PairMatch> SilkMoth::Discover(const ReferenceBlock& block,
-                                          SearchStats* stats) const {
+                                          ShardedSearchStats* stats) const {
   if (!ok()) return {};
-  const Collection& refs = *block.refs;
-  const bool self_join = block.self_join;
-  const uint32_t ref_begin = block.begin_id();
-  const uint32_t ref_end = block.end_id();
-  const uint32_t num_refs = block.NumRefs();
-  const int threads =
-      std::max(1, std::min<int>(options_.num_threads,
-                                static_cast<int>(num_refs == 0 ? 1
-                                                               : num_refs)));
-
-  const bool dedup_pairs =
-      self_join && SelfJoinReportsUnorderedPairs(options_.metric);
-
-  // One QueryScratch per worker: its dense arrays are sized to the data
-  // collection on the first reference and then reused — epoch stamping
-  // makes per-reference clearing a counter bump instead of an O(sets) wipe.
-  auto run_range = [&](uint32_t begin, uint32_t end,
-                       std::vector<PairMatch>* out, SearchStats* st,
-                       QueryScratch* scratch) {
-    for (uint32_t r = begin; r < end; ++r) {
-      const uint32_t exclude = self_join ? r : kNoExclude;
-      std::vector<SearchMatch> matches =
-          RunSearchPass(refs.sets[r], *data_, index_, options_, exclude, st,
-                        scratch);
-      for (const SearchMatch& m : matches) {
-        if (dedup_pairs && m.set_id < r) continue;
-        out->push_back(PairMatch{r, m.set_id, m.matching_score,
-                                 m.relatedness});
-      }
-    }
-  };
-
-  std::vector<PairMatch> results;
-  if (threads == 1) {
-    QueryScratch scratch;
-    run_range(ref_begin, ref_end, &results, stats, &scratch);
-  } else {
-    std::vector<std::vector<PairMatch>> partial(threads);
-    std::vector<SearchStats> partial_stats(threads);
-    std::vector<QueryScratch> scratches(threads);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const uint32_t chunk = (num_refs + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const uint32_t begin = ref_begin + std::min(num_refs, t * chunk);
-      const uint32_t end = ref_begin + std::min(num_refs, (t + 1) * chunk);
-      workers.emplace_back(run_range, begin, end, &partial[t],
-                           &partial_stats[t], &scratches[t]);
-    }
-    for (auto& w : workers) w.join();
-    for (int t = 0; t < threads; ++t) {
-      results.insert(results.end(), partial[t].begin(), partial[t].end());
-      if (stats != nullptr) stats->Merge(partial_stats[t]);
-    }
+  PrepareStats(stats);
+  std::vector<ShardView> views(num_shards());
+  for (size_t s = 0; s < num_shards(); ++s) {
+    views[s] = ShardView{ranges_[s], &indexes_[s]};
   }
-
-  // External blocks carry the query-side accounting; stamped once, after
-  // the worker merge.
-  if (stats != nullptr && !self_join) {
-    stats->query_sets += num_refs;
-    stats->oov_tokens += block.oov_tokens;
-  }
-
-  std::sort(results.begin(), results.end(), PairMatchIdLess);
-  return results;
+  return DiscoverAcrossShards(block, *data_, views, options_, stats);
 }
 
 }  // namespace silkmoth

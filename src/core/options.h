@@ -78,10 +78,11 @@ struct Options {
   /// independent of this value).
   int num_threads = 1;
 
-  /// Number of contiguous index shards for ShardedEngine (extension; output
-  /// is independent of this value). 1 means one full index — the classic
-  /// single-index engine. Values above the set count leave trailing shards
-  /// empty, which is legal. SilkMoth itself ignores this field.
+  /// Number of contiguous index shards the engine builds (extension; output
+  /// is independent of this value, except that SilkMoth::SearchTopK needs
+  /// exactly 1). 1 means one full index — the paper's single-index engine.
+  /// Values above the set count leave trailing shards empty, which is
+  /// legal.
   int num_shards = 1;
 
   /// Resolves q (if 0) given phi and alpha. Returns the effective q.

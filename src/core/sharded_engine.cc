@@ -10,6 +10,9 @@ namespace silkmoth {
 std::vector<SetIdRange> ComputeShardRanges(const Collection& data,
                                            uint32_t num_shards) {
   const uint32_t num_sets = static_cast<uint32_t>(data.sets.size());
+  // One shard is the whole collection; the greedy loop below would return
+  // the same range after paying for the cost passes.
+  if (num_shards == 1) return {SetIdRange{0, num_sets}};
 
   // Per-set cost proxy: Σ over the set's element tokens of that token's
   // global occurrence count — the number of candidate postings a signature
@@ -109,73 +112,6 @@ std::vector<InvertedIndex> BuildShardIndexes(
   return indexes;
 }
 
-ShardedEngine::ShardedEngine(const Collection* data, Options options)
-    : data_(data), options_(options) {
-  error_ = options_.Validate();
-  if (!error_.empty()) return;
-
-  // Validate() has already rejected num_shards < 1.
-  const uint32_t num_shards = static_cast<uint32_t>(options_.num_shards);
-  const std::vector<SetIdRange> ranges =
-      ComputeShardRanges(*data_, num_shards);
-  std::vector<InvertedIndex> indexes =
-      BuildShardIndexes(*data_, ranges, options_.num_threads);
-  shards_.resize(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    shards_[s].range = ranges[s];
-    shards_[s].index = std::move(indexes[s]);
-  }
-}
-
-std::vector<SearchMatch> ShardedEngine::Search(
-    const SetRecord& ref, ShardedSearchStats* stats) const {
-  if (!ok()) return {};
-  if (stats != nullptr && stats->per_shard.size() != shards_.size()) {
-    stats->Reset(shards_.size());
-  }
-  // A single per-thread scratch serves every shard: BeginQuery's epoch bump
-  // makes cross-shard reuse exactly as safe as cross-reference reuse.
-  static thread_local QueryScratch scratch;
-  scratch.ShrinkTo(data_->sets.size());
-
-  std::vector<SearchMatch> results;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    if (shard.range.begin == shard.range.end) continue;  // Empty shard.
-    std::vector<SearchMatch> matches = RunSearchPass(
-        ref, *data_, shard.index, options_, kNoExclude,
-        stats != nullptr ? &stats->per_shard[s] : nullptr, &scratch,
-        shard.range);
-    // Shard ranges are disjoint and ascending and each shard's matches are
-    // sorted by set id, so appending keeps the global set-id order.
-    results.insert(results.end(), matches.begin(), matches.end());
-  }
-  return results;
-}
-
-std::vector<PairMatch> ShardedEngine::Discover(
-    const Collection& refs, ShardedSearchStats* stats) const {
-  return Discover(ReferenceBlock::External(refs), stats);
-}
-
-std::vector<PairMatch> ShardedEngine::DiscoverSelf(
-    ShardedSearchStats* stats) const {
-  return Discover(ReferenceBlock::SelfJoin(*data_), stats);
-}
-
-std::vector<PairMatch> ShardedEngine::Discover(
-    const ReferenceBlock& block, ShardedSearchStats* stats) const {
-  if (!ok()) return {};
-  std::vector<ShardView> views(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    views[s] = ShardView{shards_[s].range, &shards_[s].index};
-  }
-  if (stats != nullptr && stats->per_shard.size() != shards_.size()) {
-    stats->Reset(shards_.size());
-  }
-  return DiscoverAcrossShards(block, *data_, views, options_, stats);
-}
-
 std::vector<PairMatch> DiscoverAcrossShards(const ReferenceBlock& block,
                                             const Collection& data,
                                             std::span<const ShardView> shards,
@@ -192,8 +128,11 @@ std::vector<PairMatch> DiscoverAcrossShards(const ReferenceBlock& block,
                                 static_cast<int>(num_refs == 0 ? 1
                                                                : num_refs)));
 
+  // A SET-SIMILARITY self-join reports each unordered pair once (keeping
+  // ref_id < set_id); SET-CONTAINMENT is asymmetric, so both directions
+  // are evaluated.
   const bool dedup_pairs =
-      self_join && SelfJoinReportsUnorderedPairs(options.metric);
+      self_join && options.metric == Relatedness::kSimilarity;
 
   // Each worker streams its block of references through every shard in
   // shard order, with one QueryScratch per (worker, shard): shard passes

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -18,10 +17,11 @@ namespace silkmoth {
 
 /// The canonical shard partition: splits [0, data.NumSets()) into
 /// `num_shards` contiguous, cost-balanced ranges (trailing shards may be
-/// empty). ShardedEngine and the snapshot builder both use this, so shard k
-/// of a snapshot covers exactly the same set-id range as shard k of an
-/// in-process run with the same shard count — the invariant the
-/// cross-process merge parity rests on. num_shards must be >= 1.
+/// empty). The SilkMoth engine and the snapshot builder both use this, so
+/// shard k of a snapshot covers exactly the same set-id range as shard k of
+/// an in-process run with the same shard count — the invariant the
+/// cross-process merge parity rests on. num_shards must be >= 1; one shard
+/// is {0, NumSets()} without any cost pass.
 ///
 /// Balancing: contiguous-equal-count ranges inherit insertion-order skew
 /// (one hot shard on near-duplicate-clustered corpora makes the slowest
@@ -41,7 +41,7 @@ std::vector<SetIdRange> ComputeShardRanges(const Collection& data,
 /// Builds one CSR index per range over `collection`, with up to
 /// `num_threads` parallel builders (each builder only reads the immutable
 /// collection and writes its own slots). The shared index-construction step
-/// of ShardedEngine and the snapshot builder.
+/// of the SilkMoth engine and the snapshot builder.
 std::vector<InvertedIndex> BuildShardIndexes(
     const Collection& collection, const std::vector<SetIdRange>& ranges,
     int num_threads);
@@ -53,11 +53,11 @@ struct ShardView {
   const InvertedIndex* index = nullptr;  ///< Index over `range` (borrowed).
 };
 
-/// The one discovery driver behind every sharded execution mode — the
-/// in-process ShardedEngine and the out-of-process shard runner both call
-/// it, so the parity-critical loop (self-pair exclusion, unordered-pair
-/// dedup, worker chunking, stats discipline, canonical sort) cannot drift
-/// between them.
+/// The one discovery driver behind every execution mode — the in-process
+/// SilkMoth engine, the out-of-process shard runner, the serve daemon and
+/// the delta replay all call it, so the parity-critical loop (self-pair
+/// exclusion, unordered-pair dedup, worker chunking, stats discipline,
+/// canonical sort) cannot drift between them.
 ///
 /// Streams every reference of `block` through every shard in `shards`:
 /// up to options.num_threads workers each take a contiguous slice of the
@@ -75,106 +75,6 @@ std::vector<PairMatch> DiscoverAcrossShards(const ReferenceBlock& block,
                                             std::span<const ShardView> shards,
                                             const Options& options,
                                             ShardedSearchStats* stats);
-
-/// Sharded SilkMoth engine: the single-index framework partitioned into
-/// `Options::num_shards` contiguous shards.
-///
-/// SilkMoth's search pass only needs an inverted index over the candidate
-/// universe, so the indexed collection splits exactly: shard k owns a
-/// contiguous set-id range (cost-balanced by ComputeShardRanges) and
-/// carries its own CSR
-/// InvertedIndex built over just that range (postings keep global set ids;
-/// the token dictionary is the collection's, shared by all shards). A
-/// reference is answered by streaming it through every shard's index and
-/// concatenating the per-shard matches — ranges are disjoint and ascending,
-/// so the concatenation is already sorted by set id and the union is
-/// *exactly* the single-index result, scores included (verification only
-/// ever looks at the (reference, set) records, never the index).
-///
-/// Discovery runs as a batch pipeline: each worker thread takes a block of
-/// references and pushes every reference through all shards, with one
-/// QueryScratch per (worker, shard) so shard passes never share transient
-/// state — the layout a future multi-process split inherits directly.
-/// Per-shard SearchStats aggregate into ShardedSearchStats.
-///
-/// Like SilkMoth, the engine holds a pointer to `data`, which must outlive
-/// it; everything is immutable after construction, so all query methods are
-/// const and thread-safe.
-///
-/// Usage:
-///   Options opt;
-///   opt.num_shards = 4;
-///   opt.num_threads = 8;
-///   ShardedEngine engine(&data, opt);
-///   auto pairs = engine.DiscoverSelf();   // == SilkMoth(&data, opt).DiscoverSelf()
-class ShardedEngine {
- public:
-  /// `data` must outlive the engine. Options are validated eagerly; invalid
-  /// options are reported through ok()/error() and queries return empty.
-  /// Shard indexes are built in parallel (up to options.num_threads
-  /// builders). num_shards may exceed the set count; trailing shards are
-  /// then empty and answer every query with no matches.
-  ShardedEngine(const Collection* data, Options options);
-
-  /// True when construction validated the options; queries on a not-ok
-  /// engine return empty results.
-  bool ok() const { return error_.empty(); }
-  /// Human-readable validation error ("" when ok()).
-  const std::string& error() const { return error_; }
-  /// The validated engine configuration.
-  const Options& options() const { return options_; }
-  /// The indexed collection (owned by the caller).
-  const Collection& data() const { return *data_; }
-
-  /// Number of shards actually built: options.num_shards, or 0 when the
-  /// engine is not ok() (no shards exist then).
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Shard `shard`'s index (postings restricted to shard_range(shard)).
-  const InvertedIndex& shard_index(size_t shard) const {
-    return shards_[shard].index;
-  }
-
-  /// Shard `shard`'s contiguous global set-id range (may be empty).
-  SetIdRange shard_range(size_t shard) const { return shards_[shard].range; }
-
-  /// RELATED SET SEARCH (Problem 2) across all shards. Identical result to
-  /// SilkMoth::Search on the same data and options.
-  std::vector<SearchMatch> Search(const SetRecord& ref,
-                                  ShardedSearchStats* stats = nullptr) const;
-
-  /// RELATED SET DISCOVERY (Problem 1) across two collections: every
-  /// reference is streamed through every shard. Results sorted by
-  /// (ref_id, set_id); identical to SilkMoth::Discover.
-  std::vector<PairMatch> Discover(const Collection& refs,
-                                  ShardedSearchStats* stats = nullptr) const;
-
-  /// Block-granular discovery: streams exactly the references `block`
-  /// selects (a self-join sub-range or an external query collection)
-  /// through every shard. The full-collection self-join block reproduces
-  /// DiscoverSelf byte for byte. Self-join blocks must view this engine's
-  /// own data collection.
-  std::vector<PairMatch> Discover(const ReferenceBlock& block,
-                                  ShardedSearchStats* stats = nullptr) const;
-
-  /// Discovery within the indexed collection itself (R = S). Self-pairs are
-  /// skipped; under SET-SIMILARITY each unordered pair is reported once,
-  /// under SET-CONTAINMENT both directions are evaluated. Identical to
-  /// SilkMoth::DiscoverSelf.
-  std::vector<PairMatch> DiscoverSelf(ShardedSearchStats* stats = nullptr) const;
-
- private:
-  /// One shard: its set-id range and the index over it.
-  struct Shard {
-    SetIdRange range;
-    InvertedIndex index;
-  };
-
-  const Collection* data_;
-  Options options_;
-  std::vector<Shard> shards_;
-  std::string error_;
-};
 
 }  // namespace silkmoth
 

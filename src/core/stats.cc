@@ -6,58 +6,26 @@
 namespace silkmoth {
 
 void SearchStats::Merge(const SearchStats& other) {
-  references += other.references;
-  fallback_scans += other.fallback_scans;
-  signature_tokens += other.signature_tokens;
-  initial_candidates += other.initial_candidates;
-  after_size += other.after_size;
-  after_check += other.after_check;
-  after_nn += other.after_nn;
-  verifications += other.verifications;
-  results += other.results;
-  similarity_calls += other.similarity_calls;
-  reduced_pairs += other.reduced_pairs;
-  bound_accepts += other.bound_accepts;
-  bound_rejects += other.bound_rejects;
-  tier2_accepts += other.tier2_accepts;
-  heap_floor_rejects += other.heap_floor_rejects;
-  exact_solves += other.exact_solves;
-  reporting_solves += other.reporting_solves;
-  bound_only_scores += other.bound_only_scores;
-  query_sets += other.query_sets;
-  oov_tokens += other.oov_tokens;
-  signature_seconds += other.signature_seconds;
-  selection_seconds += other.selection_seconds;
-  nn_seconds += other.nn_seconds;
-  verify_seconds += other.verify_seconds;
+  for (const CounterField& f : kSearchCounters) {
+    this->*f.member += other.*f.member;
+  }
+  for (const SecondsField& f : kSearchSeconds) {
+    this->*f.member += other.*f.member;
+  }
 }
 
 std::string SearchStats::ToString() const {
+  // "name:" left-aligned in a 21-column field, then the value.
   std::ostringstream out;
-  out << "references:          " << references << "\n"
-      << "fallback_scans:      " << fallback_scans << "\n"
-      << "signature_tokens:    " << signature_tokens << "\n"
-      << "initial_candidates:  " << initial_candidates << "\n"
-      << "after_size:          " << after_size << "\n"
-      << "after_check:         " << after_check << "\n"
-      << "after_nn:            " << after_nn << "\n"
-      << "verifications:       " << verifications << "\n"
-      << "results:             " << results << "\n"
-      << "similarity_calls:    " << similarity_calls << "\n"
-      << "reduced_pairs:       " << reduced_pairs << "\n"
-      << "bound_accepts:       " << bound_accepts << "\n"
-      << "bound_rejects:       " << bound_rejects << "\n"
-      << "tier2_accepts:       " << tier2_accepts << "\n"
-      << "heap_floor_rejects:  " << heap_floor_rejects << "\n"
-      << "exact_solves:        " << exact_solves << "\n"
-      << "reporting_solves:    " << reporting_solves << "\n"
-      << "bound_only_scores:   " << bound_only_scores << "\n"
-      << "query_sets:          " << query_sets << "\n"
-      << "oov_tokens:          " << oov_tokens << "\n"
-      << "signature_seconds:   " << signature_seconds << "\n"
-      << "selection_seconds:   " << selection_seconds << "\n"
-      << "nn_seconds:          " << nn_seconds << "\n"
-      << "verify_seconds:      " << verify_seconds << "\n";
+  out << std::left;
+  for (const CounterField& f : kSearchCounters) {
+    out << std::setw(21) << std::string(f.name) + ":" << this->*f.member
+        << "\n";
+  }
+  for (const SecondsField& f : kSearchSeconds) {
+    out << std::setw(21) << std::string(f.name) + ":" << this->*f.member
+        << "\n";
+  }
   return out.str();
 }
 
@@ -67,37 +35,21 @@ std::string SearchStats::ToJson() const {
   std::string json = CountersJson();
   json.pop_back();
   std::ostringstream out;
-  out << std::setprecision(17)
-      << ",\"signature_seconds\":" << signature_seconds
-      << ",\"selection_seconds\":" << selection_seconds
-      << ",\"nn_seconds\":" << nn_seconds
-      << ",\"verify_seconds\":" << verify_seconds << "}";
-  return json + out.str();
+  out << std::setprecision(17);
+  for (const SecondsField& f : kSearchSeconds) {
+    out << ",\"" << f.name << "\":" << this->*f.member;
+  }
+  return json + out.str() + "}";
 }
 
 std::string SearchStats::CountersJson() const {
   std::ostringstream out;
-  out << "{"
-      << "\"references\":" << references
-      << ",\"fallback_scans\":" << fallback_scans
-      << ",\"signature_tokens\":" << signature_tokens
-      << ",\"initial_candidates\":" << initial_candidates
-      << ",\"after_size\":" << after_size
-      << ",\"after_check\":" << after_check
-      << ",\"after_nn\":" << after_nn
-      << ",\"verifications\":" << verifications
-      << ",\"results\":" << results
-      << ",\"similarity_calls\":" << similarity_calls
-      << ",\"reduced_pairs\":" << reduced_pairs
-      << ",\"bound_accepts\":" << bound_accepts
-      << ",\"bound_rejects\":" << bound_rejects
-      << ",\"tier2_accepts\":" << tier2_accepts
-      << ",\"heap_floor_rejects\":" << heap_floor_rejects
-      << ",\"exact_solves\":" << exact_solves
-      << ",\"reporting_solves\":" << reporting_solves
-      << ",\"bound_only_scores\":" << bound_only_scores
-      << ",\"query_sets\":" << query_sets
-      << ",\"oov_tokens\":" << oov_tokens << "}";
+  const char* sep = "{";
+  for (const CounterField& f : kSearchCounters) {
+    out << sep << "\"" << f.name << "\":" << this->*f.member;
+    sep = ",";
+  }
+  out << "}";
   return out.str();
 }
 

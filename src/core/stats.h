@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "filter/check_filter.h"
 #include "filter/nn_filter.h"
@@ -82,13 +83,59 @@ struct SearchStats {
   std::string CountersJson() const;
 };
 
-/// Statistics for a ShardedEngine run: one SearchStats per shard plus a
-/// derived global view.
+/// One SearchStats counter: its name in every dump and its member.
+struct CounterField {
+  const char* name;               ///< Dump/JSON/shard-result key.
+  size_t SearchStats::* member;   ///< The counter.
+};
+
+/// One SearchStats phase timer: its name in every dump and its member.
+struct SecondsField {
+  const char* name;               ///< Dump/JSON/shard-result key.
+  double SearchStats::* member;   ///< The timer.
+};
+
+/// Every SearchStats counter, in dump order. The one list that Merge,
+/// ToString, the JSON emitters, the shard-result reader/writer and the
+/// parity tests iterate: a new counter is declared above and added here.
+inline constexpr CounterField kSearchCounters[] = {
+    {"references", &SearchStats::references},
+    {"fallback_scans", &SearchStats::fallback_scans},
+    {"signature_tokens", &SearchStats::signature_tokens},
+    {"initial_candidates", &SearchStats::initial_candidates},
+    {"after_size", &SearchStats::after_size},
+    {"after_check", &SearchStats::after_check},
+    {"after_nn", &SearchStats::after_nn},
+    {"verifications", &SearchStats::verifications},
+    {"results", &SearchStats::results},
+    {"similarity_calls", &SearchStats::similarity_calls},
+    {"reduced_pairs", &SearchStats::reduced_pairs},
+    {"bound_accepts", &SearchStats::bound_accepts},
+    {"bound_rejects", &SearchStats::bound_rejects},
+    {"tier2_accepts", &SearchStats::tier2_accepts},
+    {"heap_floor_rejects", &SearchStats::heap_floor_rejects},
+    {"exact_solves", &SearchStats::exact_solves},
+    {"reporting_solves", &SearchStats::reporting_solves},
+    {"bound_only_scores", &SearchStats::bound_only_scores},
+    {"query_sets", &SearchStats::query_sets},
+    {"oov_tokens", &SearchStats::oov_tokens},
+};
+
+/// Every SearchStats phase timer, in dump order (after the counters).
+inline constexpr SecondsField kSearchSeconds[] = {
+    {"signature_seconds", &SearchStats::signature_seconds},
+    {"selection_seconds", &SearchStats::selection_seconds},
+    {"nn_seconds", &SearchStats::nn_seconds},
+    {"verify_seconds", &SearchStats::verify_seconds},
+};
+
+/// Statistics for a SilkMoth run: one SearchStats per shard plus a derived
+/// global view. A single-index engine (num_shards == 1) fills one slot;
+/// read it through Total().
 ///
 /// Each shard's slot aggregates every search pass that ran against that
 /// shard's index, across all worker threads (workers keep private copies and
-/// the engine merges them slot-wise at the end, so no atomics are needed —
-/// the same discipline as SearchStats in threaded discovery).
+/// the engine merges them slot-wise at the end, so no atomics are needed).
 ///
 /// Counter semantics shift under sharding: a single reference is streamed
 /// through *every* shard, so `per_shard[s].references` counts references

@@ -86,7 +86,7 @@ class InvertedIndex {
   /// of `collection` only. Postings keep their *global* set ids, so the
   /// resulting index is a drop-in replacement for a full index whose
   /// candidate universe happens to be the range — this is the shard
-  /// primitive behind ShardedEngine. An empty range yields an empty index.
+  /// primitive behind engine shards. An empty range yields an empty index.
   void Build(const Collection& collection, uint32_t begin_set,
              uint32_t end_set);
 

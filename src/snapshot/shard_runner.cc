@@ -13,47 +13,6 @@
 namespace silkmoth {
 namespace {
 
-// Named counter fields of SearchStats, in file order. Save writes them all;
-// Load requires them all — a missing or unknown counter is a format error,
-// so the two lists cannot drift apart silently.
-struct CounterField {
-  const char* name;
-  size_t SearchStats::* member;
-};
-constexpr CounterField kCounters[] = {
-    {"references", &SearchStats::references},
-    {"fallback_scans", &SearchStats::fallback_scans},
-    {"signature_tokens", &SearchStats::signature_tokens},
-    {"initial_candidates", &SearchStats::initial_candidates},
-    {"after_size", &SearchStats::after_size},
-    {"after_check", &SearchStats::after_check},
-    {"after_nn", &SearchStats::after_nn},
-    {"verifications", &SearchStats::verifications},
-    {"results", &SearchStats::results},
-    {"similarity_calls", &SearchStats::similarity_calls},
-    {"reduced_pairs", &SearchStats::reduced_pairs},
-    {"bound_accepts", &SearchStats::bound_accepts},
-    {"bound_rejects", &SearchStats::bound_rejects},
-    {"tier2_accepts", &SearchStats::tier2_accepts},
-    {"heap_floor_rejects", &SearchStats::heap_floor_rejects},
-    {"exact_solves", &SearchStats::exact_solves},
-    {"reporting_solves", &SearchStats::reporting_solves},
-    {"bound_only_scores", &SearchStats::bound_only_scores},
-    {"query_sets", &SearchStats::query_sets},
-    {"oov_tokens", &SearchStats::oov_tokens},
-};
-
-struct SecondsField {
-  const char* name;
-  double SearchStats::* member;
-};
-constexpr SecondsField kSeconds[] = {
-    {"signature_seconds", &SearchStats::signature_seconds},
-    {"selection_seconds", &SearchStats::selection_seconds},
-    {"nn_seconds", &SearchStats::nn_seconds},
-    {"verify_seconds", &SearchStats::verify_seconds},
-};
-
 // Version 5: adds the tier2_accepts/heap_floor_rejects/reporting_solves
 // verification counters (the stats block requires every counter in fixed
 // order, so new counters are a format change). Version 4 added the `range`
@@ -114,7 +73,7 @@ namespace {
 // Shared single-shard driver behind DiscoverShardSelf/DiscoverShardAgainst:
 // runs the in-process DiscoverAcrossShards over a one-shard span, so the
 // parity-critical loop (exclusion, dedup, chunking, sort) is literally the
-// same code ShardedEngine runs and the two execution modes cannot drift.
+// same code the SilkMoth engine runs and the two modes cannot drift.
 std::vector<PairMatch> DiscoverShardBlock(const Snapshot& snap, size_t shard,
                                           const ReferenceBlock& block,
                                           const Options& options,
@@ -192,12 +151,14 @@ std::string SaveShardResult(const ShardResult& result,
   } else {
     body += "reference self\n";
   }
-  for (const CounterField& f : kCounters) {
+  // Every counter and timer of the stats table, in table order. Load
+  // requires them all, so a missing or unknown counter is a format error.
+  for (const CounterField& f : kSearchCounters) {
     std::snprintf(buf, sizeof(buf), "stat %s %zu\n", f.name,
                   result.stats.*(f.member));
     body += buf;
   }
-  for (const SecondsField& f : kSeconds) {
+  for (const SecondsField& f : kSearchSeconds) {
     std::snprintf(buf, sizeof(buf), "statf %s %.17g\n", f.name,
                   result.stats.*(f.member));
     body += buf;
@@ -286,7 +247,7 @@ std::string LoadShardResult(const std::string& path, ShardResult* out) {
       return path + ": malformed reference line";
     }
   }
-  for (const CounterField& f : kCounters) {
+  for (const CounterField& f : kSearchCounters) {
     unsigned long long v = 0;
     char name[64];
     if (!next_line() ||
@@ -297,7 +258,7 @@ std::string LoadShardResult(const std::string& path, ShardResult* out) {
     }
     result.stats.*(f.member) = static_cast<size_t>(v);
   }
-  for (const SecondsField& f : kSeconds) {
+  for (const SecondsField& f : kSearchSeconds) {
     double v = 0;
     char name[64];
     if (!next_line() ||

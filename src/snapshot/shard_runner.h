@@ -28,15 +28,15 @@ namespace silkmoth {
 ///
 /// MergeShardResults output is byte-identical (ids and exact scores) to the
 /// matching in-process run on the same corpus and options —
-/// ShardedEngine::DiscoverSelf for self-joins, ShardedEngine::Discover over
-/// the same query block for query runs — enforced by
+/// SilkMoth::DiscoverSelf for self-joins, SilkMoth::Discover over the same
+/// query block for query runs (same shard count) — enforced by
 /// tests/snapshot_roundtrip_property_test.cc and tests/query_mode_test.cc
 /// in memory and tests/cli_parity_test.sh through the real binary.
 
 /// Runs shard `shard`'s slice of RELATED SET DISCOVERY within the snapshot's
 /// own collection (R = S): every set is streamed as a reference through the
 /// shard's index, with the same self-pair and unordered-pair semantics as
-/// ShardedEngine::DiscoverSelf. Results are sorted by (ref_id, set_id).
+/// SilkMoth::DiscoverSelf. Results are sorted by (ref_id, set_id).
 /// `options.num_threads` workers split the reference stream; `stats`
 /// aggregates every pass against this shard (untouched for empty shards,
 /// matching the in-process engine, which never runs passes against them).
@@ -53,7 +53,7 @@ std::vector<PairMatch> DiscoverShardSelf(const Snapshot& snap, size_t shard,
 /// pair in the shard's range is evaluated — no self-pair exclusion, no
 /// unordered-pair dedup. Results are sorted by (ref_id, set_id); ref_id
 /// indexes the query collection. Concatenating the per-shard streams over
-/// all shards is exactly ShardedEngine::Discover on the same block. The
+/// all shards is exactly SilkMoth::Discover on the same block. The
 /// same CheckSnapshotCompatible gate applies — and the query must have been
 /// tokenized against this snapshot's dictionary, or token ids silently
 /// disagree.
@@ -146,7 +146,7 @@ std::string FormatCoverage(const MergeCoverage& cov);
 /// exactly once each; anything else returns a one-line error (shards run
 /// with, say, different --delta, or against different query files, would
 /// merge into a stream that matches no single-process run). On success
-/// fills `pairs` (exactly the in-process ShardedEngine output restricted
+/// fills `pairs` (exactly the in-process SilkMoth output restricted
 /// to the covered shards), and, when non-null, `stats` (per_shard[k] =
 /// shard k's funnel; absent shards stay zero) and `coverage` (which
 /// shards/ranges the merge actually covered).

@@ -793,7 +793,7 @@ Snapshot BuildSnapshot(Collection data, TokenizerKind tokenizer, int q,
   snap.q = q;
   snap.data = std::move(data);
 
-  // The exact partition + parallel index construction ShardedEngine uses,
+  // The exact partition + parallel index construction the engine uses,
   // so snapshot shard k is interchangeable with in-process shard k.
   const std::vector<SetIdRange> ranges =
       ComputeShardRanges(snap.data, num_shards);

@@ -100,11 +100,12 @@ TEST(FastJoinTest, GeneratesMoreCandidatesThanSilkMoth) {
   SilkMoth sm(&data, o);
   ASSERT_TRUE(fj.ok());
   ASSERT_TRUE(sm.ok());
-  SearchStats fj_stats, sm_stats;
+  ShardedSearchStats fj_stats, sm_stats;
   auto a = fj.DiscoverSelf(&fj_stats);
   auto b = sm.DiscoverSelf(&sm_stats);
   EXPECT_EQ(a, b);  // Same exact answers...
-  EXPECT_GE(fj_stats.verifications, sm_stats.verifications);  // ...more work.
+  EXPECT_GE(fj_stats.Total().verifications,
+            sm_stats.Total().verifications);  // ...more work.
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Cross-process parity: build + N x shard-run + merge through the actual CLI
 # binary must produce byte-identical PairMatch output to the in-process
-# ShardedEngine run (`discover --shards N`) on the same corpus, for the
+# engine run (`discover --shards N`) on the same corpus, for the
 # similarity and containment metrics over word tokens and for edit
 # similarity over q-grams, at 2 and 4 shards — through BOTH snapshot
 # containers: monolithic and --split (per-shard files, where each shard-run

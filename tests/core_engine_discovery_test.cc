@@ -91,12 +91,12 @@ TEST(EngineDiscoveryTest, MultiThreadedEqualsSingleThreaded) {
   SilkMoth single(&data, o);
   o.num_threads = 4;
   SilkMoth multi(&data, o);
-  SearchStats s1, s4;
+  ShardedSearchStats s1, s4;
   auto r1 = single.DiscoverSelf(&s1);
   auto r4 = multi.DiscoverSelf(&s4);
   EXPECT_EQ(r1, r4);
-  EXPECT_EQ(s1.references, s4.references);
-  EXPECT_EQ(s1.results, s4.results);
+  EXPECT_EQ(s1.Total().references, s4.Total().references);
+  EXPECT_EQ(s1.Total().results, s4.Total().results);
 }
 
 TEST(EngineDiscoveryTest, MoreThreadsThanReferences) {
@@ -143,9 +143,9 @@ TEST(EngineDiscoveryTest, DiscoveryStatsCountReferences) {
   o.metric = Relatedness::kSimilarity;
   o.delta = 0.7;
   SilkMoth engine(&data, o);
-  SearchStats stats;
+  ShardedSearchStats stats;
   engine.DiscoverSelf(&stats);
-  EXPECT_EQ(stats.references, 25u);
+  EXPECT_EQ(stats.Total().references, 25u);
 }
 
 }  // namespace

@@ -106,8 +106,9 @@ TEST(EngineSearchTest, InvalidOptionsReported) {
 TEST(EngineSearchTest, StatsAreAccumulated) {
   auto ex = MakePaperExample();
   SilkMoth engine(&ex.data, PaperOptions(Relatedness::kContainment));
-  SearchStats stats;
-  engine.Search(ex.ref, &stats);
+  ShardedSearchStats sharded;
+  engine.Search(ex.ref, &sharded);
+  const SearchStats stats = sharded.Total();
   EXPECT_EQ(stats.references, 1u);
   EXPECT_GT(stats.initial_candidates, 0u);
   EXPECT_GT(stats.verifications, 0u);
@@ -129,8 +130,9 @@ TEST(EngineSearchTest, FilterPipelineShrinksCandidates) {
   Options all = PaperOptions(Relatedness::kContainment,
                              SignatureSchemeKind::kWeighted);
   SilkMoth engine(&ex.data, all);
-  SearchStats stats;
-  engine.Search(ex.ref, &stats);
+  ShardedSearchStats sharded;
+  engine.Search(ex.ref, &sharded);
+  const SearchStats stats = sharded.Total();
   // Paper walk-through: 3 initial candidates, 2 after check, 1 after NN.
   EXPECT_EQ(stats.initial_candidates, 3u);
   EXPECT_EQ(stats.after_check, 2u);

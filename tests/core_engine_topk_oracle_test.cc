@@ -61,7 +61,7 @@ Collection MakeData(const OracleConfig& cfg, size_t sets) {
 // promises to sort (relatedness descending, ties by ascending set id),
 // truncated to k.
 std::vector<SearchMatch> Oracle(const SilkMoth& engine, const SetRecord& ref,
-                                size_t k, SearchStats* stats) {
+                                size_t k, ShardedSearchStats* stats) {
   std::vector<SearchMatch> all = engine.Search(ref, stats);
   std::sort(all.begin(), all.end(),
             [](const SearchMatch& a, const SearchMatch& b) {
@@ -86,15 +86,15 @@ TEST_P(TopKOracleSweep, TopKIsOutputIdenticalToScoreEverything) {
   const std::vector<size_t> ks = {1, 5, data.sets.size(),
                                   data.sets.size() + 10};
   for (size_t k : ks) {
-    SearchStats oracle_stats;
-    SearchStats topk_stats;
+    ShardedSearchStats oracle_shards;
+    ShardedSearchStats topk_shards;
     size_t nonempty = 0;
     for (const SetRecord& ref : data.sets) {
       if (ref.Empty()) continue;
       const std::vector<SearchMatch> expected =
-          Oracle(engine, ref, k, &oracle_stats);
+          Oracle(engine, ref, k, &oracle_shards);
       const std::vector<SearchMatch> got =
-          engine.SearchTopK(ref, k, &topk_stats);
+          engine.SearchTopK(ref, k, &topk_shards);
       ASSERT_EQ(got.size(), expected.size())
           << cfg.name << ": size mismatch at k " << k;
       for (size_t i = 0; i < got.size(); ++i) {
@@ -111,6 +111,8 @@ TEST_P(TopKOracleSweep, TopKIsOutputIdenticalToScoreEverything) {
       if (!expected.empty()) ++nonempty;
     }
     EXPECT_GT(nonempty, 0u) << cfg.name << " at k " << k;
+    const SearchStats oracle_stats = oracle_shards.Total();
+    const SearchStats topk_stats = topk_shards.Total();
 
     // The floor never adds Hungarian work, and the oracle never floor-
     // rejects.

@@ -87,23 +87,9 @@ std::string TempPath(const std::string& name) {
 
 void ExpectSameCounters(const SearchStats& a, const SearchStats& b,
                         const std::string& what) {
-  EXPECT_EQ(a.references, b.references) << what;
-  EXPECT_EQ(a.fallback_scans, b.fallback_scans) << what;
-  EXPECT_EQ(a.signature_tokens, b.signature_tokens) << what;
-  EXPECT_EQ(a.initial_candidates, b.initial_candidates) << what;
-  EXPECT_EQ(a.after_size, b.after_size) << what;
-  EXPECT_EQ(a.after_check, b.after_check) << what;
-  EXPECT_EQ(a.after_nn, b.after_nn) << what;
-  EXPECT_EQ(a.verifications, b.verifications) << what;
-  EXPECT_EQ(a.results, b.results) << what;
-  EXPECT_EQ(a.similarity_calls, b.similarity_calls) << what;
-  EXPECT_EQ(a.reduced_pairs, b.reduced_pairs) << what;
-  EXPECT_EQ(a.bound_accepts, b.bound_accepts) << what;
-  EXPECT_EQ(a.bound_rejects, b.bound_rejects) << what;
-  EXPECT_EQ(a.exact_solves, b.exact_solves) << what;
-  EXPECT_EQ(a.bound_only_scores, b.bound_only_scores) << what;
-  EXPECT_EQ(a.query_sets, b.query_sets) << what;
-  EXPECT_EQ(a.oov_tokens, b.oov_tokens) << what;
+  for (const CounterField& f : kSearchCounters) {
+    EXPECT_EQ(a.*f.member, b.*f.member) << what << ": " << f.name;
+  }
 }
 
 // One live (base + delta) state, assembled the way every consumer does it:

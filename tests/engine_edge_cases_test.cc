@@ -112,9 +112,10 @@ TEST(EdgeCaseTest, DisjointVocabulariesFindNothing) {
   RawSets raw = {{"a b", "c d"}, {"e f", "g h"}, {"i j", "k l"}};
   Collection data = BuildCollection(raw, TokenizerKind::kWord);
   SilkMoth engine(&data, Opt(Relatedness::kSimilarity, 0.1));
-  SearchStats stats;
-  EXPECT_TRUE(engine.DiscoverSelf(&stats).empty());
+  ShardedSearchStats sharded;
+  EXPECT_TRUE(engine.DiscoverSelf(&sharded).empty());
   // The signatures should prevent any candidate from forming at all.
+  const SearchStats stats = sharded.Total();
   EXPECT_EQ(stats.initial_candidates, stats.references);  // Only self-hits.
 }
 

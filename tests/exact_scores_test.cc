@@ -17,7 +17,6 @@
 
 #include "core/brute_force.h"
 #include "core/engine.h"
-#include "core/sharded_engine.h"
 #include "datagen/builders.h"
 #include "datagen/dblp.h"
 #include "text/similarity.h"
@@ -64,11 +63,13 @@ TEST(ExactScoresTest, ExactModeMatchesOracleAndApproxKeepsPairSet) {
       ASSERT_TRUE(exact_engine.ok());
       ASSERT_TRUE(approx_engine.ok());
 
-      SearchStats exact_stats, approx_stats;
+      ShardedSearchStats exact_shards, approx_shards;
       const std::vector<PairMatch> exact = exact_engine.DiscoverSelf(
-          &exact_stats);
+          &exact_shards);
       const std::vector<PairMatch> approx = approx_engine.DiscoverSelf(
-          &approx_stats);
+          &approx_shards);
+      const SearchStats exact_stats = exact_shards.Total();
+      const SearchStats approx_stats = approx_shards.Total();
 
       // Pin 1: exact mode IS the historical output — oracle-identical, and
       // never a bound-only score.
@@ -110,7 +111,7 @@ TEST(ExactScoresTest, ExactModeMatchesOracleAndApproxKeepsPairSet) {
   EXPECT_GT(approx_reports_seen, 0u);
 }
 
-// The opt-out threads through the sharded engine unchanged: per-shard
+// The opt-out threads through a sharded engine unchanged: per-shard
 // counters pick up bound_only_scores and the pair set still matches the
 // exact run's.
 TEST(ExactScoresTest, ShardedApproxKeepsPairSet) {
@@ -122,8 +123,8 @@ TEST(ExactScoresTest, ShardedApproxKeepsPairSet) {
   Options approx_opt = exact_opt;
   approx_opt.exact_scores = false;
 
-  ShardedEngine exact_engine(&data, exact_opt);
-  ShardedEngine approx_engine(&data, approx_opt);
+  SilkMoth exact_engine(&data, exact_opt);
+  SilkMoth approx_engine(&data, approx_opt);
   ASSERT_TRUE(exact_engine.ok());
   ASSERT_TRUE(approx_engine.ok());
   ShardedSearchStats approx_stats;

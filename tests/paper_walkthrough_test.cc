@@ -103,9 +103,9 @@ TEST(PaperWalkthrough, Example13DichotomyPipeline) {
   opt.alpha = 0.7;
   opt.scheme = SignatureSchemeKind::kDichotomy;
   SilkMoth engine(&ex.data, opt);
-  SearchStats stats;
+  ShardedSearchStats stats;
   auto result = engine.Search(ex.ref, &stats);
-  EXPECT_EQ(stats.initial_candidates, 1u);  // Only S3 shares t11/t12.
+  EXPECT_EQ(stats.Total().initial_candidates, 1u);  // Only S3 shares t11/t12.
   // Under φ_0.7 the alignment scores for S4 fall below θ as well; nothing
   // is related, matching the brute-force oracle.
   EXPECT_TRUE(result.empty());

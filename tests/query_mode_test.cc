@@ -2,11 +2,11 @@
 // threaded through it.
 //
 //  - Self-join parity: the full-collection self-join block is byte-identical
-//    to DiscoverSelf on both engines (the refactor's safety net), and
+//    to DiscoverSelf at one and at several shards, and
 //    disjoint self-join sub-range blocks union to the full self-join.
 //  - External-query oracle: snapshot round-trip + DiscoverShardAgainst per
-//    shard, concatenated, equals ShardedEngine::Discover, SilkMoth::Discover,
-//    and the brute-force oracle — across similarity/containment/edit.
+//    shard, concatenated, equals SilkMoth::Discover at one and at several
+//    shards, and the brute-force oracle — across similarity/containment/edit.
 //  - OOV edge cases: all-OOV queries, empty payloads, oov counting.
 //  - Protocol: query fields round-trip through shard-result files; merge
 //    refuses mixed self/query streams and mismatched query fingerprints.
@@ -72,7 +72,7 @@ TEST(ReferenceBlockSelfJoin, FullBlockIdenticalToDiscoverSelf) {
 
     o.num_shards = 3;
     o.num_threads = 2;
-    ShardedEngine sharded(&data, o);
+    SilkMoth sharded(&data, o);
     ASSERT_TRUE(sharded.ok()) << sharded.error();
     EXPECT_EQ(sharded.Discover(ReferenceBlock::SelfJoin(data)),
               sharded.DiscoverSelf());
@@ -88,7 +88,7 @@ TEST(ReferenceBlockSelfJoin, DisjointSubRangesUnionToFullSelfJoin) {
     o.metric = metric;
     o.delta = 0.6;
     o.num_shards = 2;
-    ShardedEngine engine(&data, o);
+    SilkMoth engine(&data, o);
     ASSERT_TRUE(engine.ok()) << engine.error();
     const std::vector<PairMatch> whole = engine.DiscoverSelf();
 
@@ -112,10 +112,10 @@ TEST(ReferenceBlockSelfJoin, SelfJoinStampsNoQueryCounters) {
   Options o;
   o.delta = 0.6;
   SilkMoth engine(&data, o);
-  SearchStats stats;
+  ShardedSearchStats stats;
   engine.DiscoverSelf(&stats);
-  EXPECT_EQ(stats.query_sets, 0u);
-  EXPECT_EQ(stats.oov_tokens, 0u);
+  EXPECT_EQ(stats.Total().query_sets, 0u);
+  EXPECT_EQ(stats.Total().oov_tokens, 0u);
 }
 
 // --- External query: oracle identity across metrics and execution modes ---
@@ -191,7 +191,7 @@ TEST_P(QueryModeSweep, SnapshotQueryMatchesOracleEverywhere) {
   Options sharded_opt = o;
   sharded_opt.num_shards = kShards;
   sharded_opt.num_threads = 2;
-  ShardedEngine sharded(&data, sharded_opt);
+  SilkMoth sharded(&data, sharded_opt);
   ASSERT_TRUE(sharded.ok()) << sharded.error();
   BruteForce oracle(&data, o);
 
@@ -234,10 +234,10 @@ TEST(QueryOov, AllOovQueryFindsNothingAndCounts) {
   EXPECT_EQ(block.oov_tokens, 4u);
   EXPECT_EQ(data.dict->size(), dict_before + 4);
 
-  SearchStats stats;
+  ShardedSearchStats stats;
   EXPECT_TRUE(engine.Discover(block, &stats).empty());
-  EXPECT_EQ(stats.query_sets, 2u);
-  EXPECT_EQ(stats.oov_tokens, 4u);
+  EXPECT_EQ(stats.Total().query_sets, 2u);
+  EXPECT_EQ(stats.Total().oov_tokens, 4u);
 }
 
 TEST(QueryOov, PartialOovStillMatchesOracle) {
@@ -273,10 +273,10 @@ TEST(QueryOov, EmptyPayloadYieldsNothing) {
       BuildQueryBlock(RawSets{}, TokenizerKind::kWord, 0, data, &query);
   EXPECT_EQ(block.NumRefs(), 0u);
   EXPECT_EQ(block.oov_tokens, 0u);
-  SearchStats stats;
+  ShardedSearchStats stats;
   EXPECT_TRUE(engine.Discover(block, &stats).empty());
-  EXPECT_EQ(stats.query_sets, 0u);
-  EXPECT_EQ(stats.references, 0u);
+  EXPECT_EQ(stats.Total().query_sets, 0u);
+  EXPECT_EQ(stats.Total().references, 0u);
 }
 
 TEST(QueryOov, HashDistinguishesPayloads) {
@@ -392,7 +392,7 @@ TEST(QueryProtocol, SaveLoadMergeMatchesInProcessQueryRun) {
   Options sharded_opt = o;
   sharded_opt.num_shards = kShards;
   Collection data = BuildCollection(corpus_raw, TokenizerKind::kWord, 0);
-  ShardedEngine engine(&data, sharded_opt);
+  SilkMoth engine(&data, sharded_opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
   Collection mem_query;
   const ReferenceBlock mem_block =

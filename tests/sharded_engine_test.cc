@@ -1,18 +1,21 @@
-// ShardedEngine properties, on randomized corpora:
+// SilkMoth over Options::num_shards index shards, on randomized corpora:
 //
-//  1. Parity: sharded discovery (self-join and cross-collection) and search
-//     return *identical* PairMatch/SearchMatch sets — ids and scores — to
-//     the single-index engine, across metrics (similarity/containment),
-//     similarity functions (Jaccard/Eds), shard counts, and thread counts.
-//     Identity is exact (operator==), not within-tolerance: verification
-//     only ever sees the (reference, set) records, so scores cannot depend
-//     on how the index was partitioned.
-//  2. Shard layout: the shard ranges are contiguous, disjoint, ascending,
-//     and cover exactly [0, num_sets) — including the shards > sets edge
-//     case, where trailing shards are empty.
+//  1. Parity: discovery (self-join and cross-collection) and search on a
+//     k-shard engine return *identical* PairMatch/SearchMatch sets — ids
+//     and scores — to the one-shard engine, across metrics (similarity/
+//     containment), similarity functions (Jaccard/Eds), shard counts, and
+//     thread counts. Identity is exact (operator==), not within-tolerance:
+//     verification only ever sees the (reference, set) records, so scores
+//     cannot depend on how the index was partitioned.
+//  2. Shard layout: the engine builds exactly num_shards shards whose
+//     ranges are contiguous, disjoint, ascending, and cover exactly
+//     [0, num_sets) — including the shards > sets edge case, where trailing
+//     shards are empty. One shard is the whole collection.
 //  3. Stats: per-shard SearchStats record the passes against that shard
-//     only; empty shards record nothing; Total() equals the slot-wise sum;
-//     per-shard `results` sum to the unsharded pass results.
+//     only; empty shards record nothing (an empty collection records
+//     nothing at all); Total() equals the slot-wise sum; per-shard
+//     `results` sum to the one-shard pass results.
+//  4. Top-k is single-index: SearchTopK on a multi-shard engine is empty.
 
 #include <gtest/gtest.h>
 
@@ -62,9 +65,9 @@ Collection MakeData(const ShardedCase& cfg, size_t sets, uint64_t seed) {
   return BuildCollection(GenerateDblpSets(p), TokenizerKind::kWord);
 }
 
-class ShardedEngineSweep : public ::testing::TestWithParam<ShardedCase> {};
+class ShardParitySweep : public ::testing::TestWithParam<ShardedCase> {};
 
-TEST_P(ShardedEngineSweep, DiscoverSelfMatchesUnshardedExactly) {
+TEST_P(ShardParitySweep, DiscoverSelfMatchesUnshardedExactly) {
   const ShardedCase cfg = GetParam();
   const Options base = MakeOptions(cfg);
   Collection data = MakeData(cfg, 40, /*seed=*/11);
@@ -80,7 +83,7 @@ TEST_P(ShardedEngineSweep, DiscoverSelfMatchesUnshardedExactly) {
       Options opt = base;
       opt.num_shards = shards;
       opt.num_threads = threads;
-      ShardedEngine engine(&data, opt);
+      SilkMoth engine(&data, opt);
       ASSERT_TRUE(engine.ok()) << engine.error();
       EXPECT_EQ(engine.DiscoverSelf(), expected)
           << cfg.name << ": shards=" << shards << " threads=" << threads;
@@ -88,7 +91,7 @@ TEST_P(ShardedEngineSweep, DiscoverSelfMatchesUnshardedExactly) {
   }
 }
 
-TEST_P(ShardedEngineSweep, CrossCollectionDiscoverMatchesUnshardedExactly) {
+TEST_P(ShardParitySweep, CrossCollectionDiscoverMatchesUnshardedExactly) {
   const ShardedCase cfg = GetParam();
   const Options base = MakeOptions(cfg);
   Collection data = MakeData(cfg, 32, /*seed=*/21);
@@ -116,14 +119,14 @@ TEST_P(ShardedEngineSweep, CrossCollectionDiscoverMatchesUnshardedExactly) {
     Options opt = base;
     opt.num_shards = shards;
     opt.num_threads = 2;
-    ShardedEngine engine(&data, opt);
+    SilkMoth engine(&data, opt);
     ASSERT_TRUE(engine.ok()) << engine.error();
     EXPECT_EQ(engine.Discover(refs), expected)
         << cfg.name << ": shards=" << shards;
   }
 }
 
-TEST_P(ShardedEngineSweep, SearchMatchesUnshardedExactly) {
+TEST_P(ShardParitySweep, SearchMatchesUnshardedExactly) {
   const ShardedCase cfg = GetParam();
   const Options base = MakeOptions(cfg);
   Collection data = MakeData(cfg, 30, /*seed=*/31);
@@ -133,7 +136,7 @@ TEST_P(ShardedEngineSweep, SearchMatchesUnshardedExactly) {
 
   Options opt = base;
   opt.num_shards = 4;
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
 
   size_t matched = 0;
@@ -146,7 +149,7 @@ TEST_P(ShardedEngineSweep, SearchMatchesUnshardedExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Workloads, ShardedEngineSweep,
+    Workloads, ShardParitySweep,
     ::testing::Values(
         ShardedCase{"similarity_jaccard", Relatedness::kSimilarity,
                     SimilarityKind::kJaccard, 0.6, 0.4},
@@ -160,14 +163,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Shard layout edge cases -----------------------------------------------
 
-TEST(ShardedEngineLayout, RangesPartitionTheCollection) {
+TEST(ShardLayout, RangesPartitionTheCollection) {
   const ShardedCase cfg{"similarity_jaccard", Relatedness::kSimilarity,
                         SimilarityKind::kJaccard, 0.6, 0.0};
   Collection data = MakeData(cfg, 23, /*seed=*/41);
   for (int shards : {1, 2, 5, 23, 64}) {
     Options opt = MakeOptions(cfg);
     opt.num_shards = shards;
-    ShardedEngine engine(&data, opt);
+    SilkMoth engine(&data, opt);
     ASSERT_TRUE(engine.ok()) << engine.error();
     ASSERT_EQ(engine.num_shards(), static_cast<size_t>(shards));
 
@@ -193,7 +196,33 @@ TEST(ShardedEngineLayout, RangesPartitionTheCollection) {
   }
 }
 
-TEST(ShardedEngineLayout, MoreShardsThanSetsStillExact) {
+TEST(ShardLayout, EngineHonorsNumShards) {
+  const ShardedCase cfg{"similarity_jaccard", Relatedness::kSimilarity,
+                        SimilarityKind::kJaccard, 0.6, 0.4};
+  Collection data = MakeData(cfg, 30, /*seed=*/44);
+  Options opt = MakeOptions(cfg);
+  opt.num_shards = 3;
+  SilkMoth engine(&data, opt);
+  ASSERT_TRUE(engine.ok()) << engine.error();
+  ASSERT_EQ(engine.num_shards(), 3u);
+  const std::vector<SetIdRange> ranges = ComputeShardRanges(data, 3);
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(engine.shard_range(s).begin, ranges[s].begin) << "s=" << s;
+    EXPECT_EQ(engine.shard_range(s).end, ranges[s].end) << "s=" << s;
+  }
+  // Each query method reports one funnel slot per shard, and no shard's
+  // index holds the whole collection.
+  ShardedSearchStats discover_stats, search_stats;
+  engine.DiscoverSelf(&discover_stats);
+  engine.Search(data.sets[0], &search_stats);
+  EXPECT_EQ(discover_stats.per_shard.size(), 3u);
+  EXPECT_EQ(search_stats.per_shard.size(), 3u);
+  InvertedIndex full;
+  full.Build(data);
+  EXPECT_LT(engine.index().TotalPostings(), full.TotalPostings());
+}
+
+TEST(ShardLayout, MoreShardsThanSetsStillExact) {
   const ShardedCase cfg{"similarity_jaccard", Relatedness::kSimilarity,
                         SimilarityKind::kJaccard, 0.6, 0.0};
   Collection data = MakeData(cfg, 10, /*seed=*/43);
@@ -204,16 +233,16 @@ TEST(ShardedEngineLayout, MoreShardsThanSetsStillExact) {
   Options opt = MakeOptions(cfg);
   opt.num_shards = 64;
   opt.num_threads = 2;
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
   EXPECT_EQ(engine.DiscoverSelf(), single.DiscoverSelf());
 }
 
-TEST(ShardedEngineLayout, EmptyCollection) {
+TEST(ShardLayout, EmptyCollection) {
   Collection data;
   Options opt;
   opt.num_shards = 4;
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
   EXPECT_TRUE(engine.DiscoverSelf().empty());
   for (size_t s = 0; s < engine.num_shards(); ++s) {
@@ -222,19 +251,43 @@ TEST(ShardedEngineLayout, EmptyCollection) {
   }
 }
 
-TEST(ShardedEngineLayout, InvalidShardCountRejected) {
+TEST(ShardLayout, TopKIsSingleIndexOnly) {
+  const ShardedCase cfg{"similarity_jaccard", Relatedness::kSimilarity,
+                        SimilarityKind::kJaccard, 0.4, 0.0};
+  Collection data = MakeData(cfg, 30, /*seed=*/45);
+  SilkMoth single(&data, MakeOptions(cfg));
+  ASSERT_TRUE(single.ok()) << single.error();
+  Options opt = MakeOptions(cfg);
+  opt.num_shards = 2;
+  SilkMoth sharded(&data, opt);
+  ASSERT_TRUE(sharded.ok()) << sharded.error();
+
+  size_t found = 0;
+  for (const SetRecord& ref : data.sets) {
+    found += single.SearchTopK(ref, 3).size();
+    ShardedSearchStats stats;
+    EXPECT_TRUE(sharded.SearchTopK(ref, 3, &stats).empty());
+    EXPECT_EQ(stats.Total().references, 0u);
+  }
+  EXPECT_GT(found, 0u);
+}
+
+TEST(ShardLayout, InvalidShardCountRejected) {
   Collection data;
   Options opt;
   opt.num_shards = 0;
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   EXPECT_FALSE(engine.ok());
   EXPECT_NE(engine.error().find("num_shards"), std::string::npos);
   EXPECT_TRUE(engine.DiscoverSelf().empty());
+  // A not-ok engine builds no shards; index() is then an empty index.
+  EXPECT_EQ(engine.num_shards(), 0u);
+  EXPECT_EQ(engine.index().TotalPostings(), 0u);
 }
 
 // --- Per-shard stats aggregation -------------------------------------------
 
-TEST(ShardedEngineStats, PerShardCountersAggregateToGlobal) {
+TEST(ShardStats, PerShardCountersAggregateToGlobal) {
   const ShardedCase cfg{"similarity_jaccard", Relatedness::kSimilarity,
                         SimilarityKind::kJaccard, 0.6, 0.4};
   Collection data = MakeData(cfg, 30, /*seed=*/51);
@@ -242,7 +295,7 @@ TEST(ShardedEngineStats, PerShardCountersAggregateToGlobal) {
   Options opt = MakeOptions(cfg);
   opt.num_shards = 4;
   opt.num_threads = 3;
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
 
   ShardedSearchStats stats;
@@ -274,19 +327,43 @@ TEST(ShardedEngineStats, PerShardCountersAggregateToGlobal) {
   EXPECT_EQ(total.initial_candidates, manual.initial_candidates);
 
   // Shards never overlap, so result counts (pre-dedup search-pass results)
-  // sum to exactly what the single-index engine's passes report.
+  // sum to exactly what the one-shard engine's passes report.
   SilkMoth single(&data, MakeOptions(cfg));
   ASSERT_TRUE(single.ok());
-  SearchStats single_stats;
+  ShardedSearchStats single_stats;
   single.DiscoverSelf(&single_stats);
-  EXPECT_EQ(total.results, single_stats.results);
+  ASSERT_EQ(single_stats.per_shard.size(), 1u);
+  EXPECT_EQ(total.results, single_stats.Total().results);
 
   // The human-readable dump mentions each shard.
   const std::string dump = stats.ToString();
   EXPECT_NE(dump.find("per shard"), std::string::npos);
 }
 
-TEST(ShardedEngineStats, MergeIsSlotWise) {
+// Empty shards record nothing, so neither does an engine over an empty
+// collection — at one shard as at several: no passes and no query-side
+// stamping, for every query method.
+TEST(ShardStats, EmptyCollectionRecordsNothing) {
+  Collection data;
+  const Collection refs =
+      BuildCollection(RawSets{{"a b", "c"}, {"d"}}, TokenizerKind::kWord);
+  for (int shards : {1, 4}) {
+    Options opt;
+    opt.num_shards = shards;
+    SilkMoth engine(&data, opt);
+    ASSERT_TRUE(engine.ok()) << engine.error();
+    ShardedSearchStats stats;
+    EXPECT_TRUE(engine.DiscoverSelf(&stats).empty());
+    EXPECT_TRUE(engine.Discover(refs, &stats).empty());
+    EXPECT_TRUE(engine.Search(refs.sets[0], &stats).empty());
+    EXPECT_TRUE(engine.SearchTopK(refs.sets[0], 2, &stats).empty());
+    ASSERT_EQ(stats.per_shard.size(), static_cast<size_t>(shards));
+    EXPECT_EQ(stats.Total().CountersJson(), SearchStats{}.CountersJson())
+        << "shards=" << shards;
+  }
+}
+
+TEST(ShardStats, MergeIsSlotWise) {
   ShardedSearchStats a, b;
   a.Reset(2);
   b.Reset(2);

@@ -18,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sharded_engine.h"
+#include "core/engine.h"
 #include "datagen/builders.h"
 #include "snapshot/shard_runner.h"
 #include "snapshot/snapshot.h"
@@ -445,7 +445,7 @@ TEST(SnapshotViewLifetime, QueriesSurviveSnapshotMove) {
   Options opt;
   opt.delta = 0.3;
   opt.num_shards = 2;
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok());
   const std::vector<PairMatch> expected = engine.DiscoverSelf();
 

@@ -3,11 +3,11 @@
 //
 //  1. Save→Load reproduces the token dictionary, the tokenized collection,
 //     and every shard's CSR arrays (offsets_ / postings_) exactly — and the
-//     snapshot builder's shards are identical to ShardedEngine's shards for
+//     snapshot builder's shards are identical to the engine's shards for
 //     the same shard count (same ComputeShardRanges partition, same CSR).
 //  2. Discovery driven from a snapshot-loaded state (DiscoverShardSelf per
 //     shard + MergeShardResults) is byte-identical — ids and exact scores —
-//     to a fresh in-memory ShardedEngine::DiscoverSelf, with matching
+//     to a fresh in-memory SilkMoth::DiscoverSelf, with matching
 //     per-shard funnel counters.
 //  3. The shard-result file format round-trips pairs (exact doubles) and
 //     funnel counters.
@@ -95,23 +95,9 @@ void ExpectSameIndex(const InvertedIndex& a, const InvertedIndex& b,
 
 void ExpectSameCounters(const SearchStats& a, const SearchStats& b,
                         const std::string& what) {
-  EXPECT_EQ(a.references, b.references) << what;
-  EXPECT_EQ(a.fallback_scans, b.fallback_scans) << what;
-  EXPECT_EQ(a.signature_tokens, b.signature_tokens) << what;
-  EXPECT_EQ(a.initial_candidates, b.initial_candidates) << what;
-  EXPECT_EQ(a.after_size, b.after_size) << what;
-  EXPECT_EQ(a.after_check, b.after_check) << what;
-  EXPECT_EQ(a.after_nn, b.after_nn) << what;
-  EXPECT_EQ(a.verifications, b.verifications) << what;
-  EXPECT_EQ(a.results, b.results) << what;
-  EXPECT_EQ(a.similarity_calls, b.similarity_calls) << what;
-  EXPECT_EQ(a.reduced_pairs, b.reduced_pairs) << what;
-  EXPECT_EQ(a.bound_accepts, b.bound_accepts) << what;
-  EXPECT_EQ(a.bound_rejects, b.bound_rejects) << what;
-  EXPECT_EQ(a.exact_solves, b.exact_solves) << what;
-  EXPECT_EQ(a.bound_only_scores, b.bound_only_scores) << what;
-  EXPECT_EQ(a.query_sets, b.query_sets) << what;
-  EXPECT_EQ(a.oov_tokens, b.oov_tokens) << what;
+  for (const CounterField& f : kSearchCounters) {
+    EXPECT_EQ(a.*f.member, b.*f.member) << what << ": " << f.name;
+  }
 }
 
 // Core sweep: every workload × corpus seed × shard count, covering
@@ -132,8 +118,8 @@ TEST(SnapshotRoundtrip, SaveLoadAndDiscoveryParity) {
                                      : TokenizerKind::kWord;
         const int q = tk == TokenizerKind::kQGram ? opt.EffectiveQ() : 0;
 
-        // Reference: the fresh in-memory sharded engine.
-        ShardedEngine engine(&data, opt);
+        // Reference: the fresh in-memory engine at the same shard count.
+        SilkMoth engine(&data, opt);
         ASSERT_TRUE(engine.ok()) << engine.error();
         ShardedSearchStats mem_stats;
         const std::vector<PairMatch> expected =
@@ -254,7 +240,7 @@ TEST(SnapshotRoundtrip, SplitFilesParityAndByteAccounting) {
   const int kShards = 4;
   const Options opt = MakeOptions(cfg, kShards);
 
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
   const std::vector<PairMatch> expected = engine.DiscoverSelf();
 

@@ -81,7 +81,7 @@
 //   --q <int>                         (edit similarity; default from alpha)
 //   --scheme weighted|unweighted|skyline|dichotomy   (default dichotomy)
 //   --threads <n>                     (default 1)
-//   --shards <n>                      (default 1; >= 2 uses ShardedEngine)
+//   --shards <n>                      (index shards; default 1)
 //   --stats                           (print phase statistics; per-shard
 //                                      breakdown when sharded)
 //   --split                           (build: per-shard snapshot files)
@@ -1714,33 +1714,20 @@ int RunMain(int argc, char** argv) {
   TokenizerKind tk;
   if (!LoadData(args, &data, &tk)) return ExitCode(CliExit::kIo);
 
-  // --shards >= 2 routes everything through the sharded engine; otherwise
-  // the classic single-index engine runs. Only the chosen engine builds its
-  // index.
-  const bool use_shards = args.opt.num_shards >= 2;
-  std::unique_ptr<SilkMoth> single;
-  std::unique_ptr<ShardedEngine> sharded;
-  if (use_shards) {
-    sharded = std::make_unique<ShardedEngine>(&data, args.opt);
-  } else {
-    single = std::make_unique<SilkMoth>(&data, args.opt);
-  }
-  const std::string engine_err =
-      use_shards ? sharded->error() : single->error();
-  if (!engine_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", engine_err.c_str());
+  const SilkMoth engine(&data, args.opt);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "invalid options: %s\n", engine.error().c_str());
     return ExitCode(CliExit::kUsage);
   }
-  if (use_shards) {
-    std::printf("# sharded engine: %zu shards\n", sharded->num_shards());
+  const bool sharded = engine.num_shards() >= 2;
+  if (sharded) {
+    std::printf("# sharded engine: %zu shards\n", engine.num_shards());
   }
 
   WallTimer timer;
-  SearchStats stats;
-  ShardedSearchStats sharded_stats;
+  ShardedSearchStats stats;
   if (mode == "discover") {
-    auto pairs = use_shards ? sharded->DiscoverSelf(&sharded_stats)
-                            : single->DiscoverSelf(&stats);
+    auto pairs = engine.DiscoverSelf(&stats);
     std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
                 timer.ElapsedSeconds());
     for (const auto& p : pairs) {
@@ -1763,10 +1750,8 @@ int RunMain(int argc, char** argv) {
           BuildReference(query_raw[qi], tk, args.opt.EffectiveQ(), &data);
       auto matches =
           args.top_k > 0
-              ? single->SearchTopK(ref, static_cast<size_t>(args.top_k),
-                                   &stats)
-              : use_shards ? sharded->Search(ref, &sharded_stats)
-                           : single->Search(ref, &stats);
+              ? engine.SearchTopK(ref, static_cast<size_t>(args.top_k), &stats)
+              : engine.Search(ref, &stats);
       for (const auto& m : matches) {
         std::printf("%zu\t%u\t%.6f\t%.6f\n", qi, m.set_id, m.matching_score,
                     m.relatedness);
@@ -1776,8 +1761,9 @@ int RunMain(int argc, char** argv) {
                 timer.ElapsedSeconds());
   }
   if (args.stats) {
-    std::fputs(use_shards ? sharded_stats.ToString().c_str()
-                          : stats.ToString().c_str(),
+    // One shard prints the plain funnel; more add the per-shard table.
+    std::fputs(sharded ? stats.ToString().c_str()
+                       : stats.Total().ToString().c_str(),
                stdout);
   }
   return ExitCode(CliExit::kOk);
