@@ -5,6 +5,10 @@
 // are ablations for the design choices DESIGN.md calls out; they are not
 // paper figures.
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "bench/histogram.h"
@@ -49,12 +53,49 @@ void BM_LevenshteinBounded(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));
   std::string a = RandomString(&rng, len);
   std::string b = a;
-  b[len / 2] = '!';  // Distance 1: the band shines.
+  // Distance 1 under budget 4: the bit-vector path up to 64 bytes, the
+  // banded DP beyond.
+  b[len / 2] = '!';
   for (auto _ : state) {
     benchmark::DoNotOptimize(BoundedLevenshtein(a, b, 4));
   }
 }
 BENCHMARK(BM_LevenshteinBounded)->Arg(16)->Arg(64)->Arg(256);
+
+// The regime of an Eds join at α = 0.8 over DBLP words: 6-8-byte words under
+// budget 1, the direct one-edit test. Arg 1 pairs words at distance 1, arg 2
+// at distance 2 (over budget).
+void BM_LevenshteinWordBudget1(benchmark::State& state) {
+  Rng rng(5);
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int i = 0; i < 64; ++i) {
+    const std::string a = RandomString(&rng, 6 + rng.NextBounded(3));
+    std::string b = a;
+    b[rng.NextBounded(b.size())] = '!';
+    if (state.range(0) == 2) b.insert(rng.NextBounded(b.size() + 1), "?");
+    pairs.emplace_back(a, b);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = pairs[i++ & 63];
+    benchmark::DoNotOptimize(BoundedLevenshtein(a, b, 1));
+  }
+}
+BENCHMARK(BM_LevenshteinWordBudget1)->Arg(1)->Arg(2);
+
+// Budget 3 on 32-byte strings three edits apart: the bit-vector path.
+void BM_LevenshteinBitVector32(benchmark::State& state) {
+  Rng rng(6);
+  const std::string a = RandomString(&rng, 32);
+  std::string b = a;
+  b[3] = '!';
+  b[17] = '!';
+  b.erase(28, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BoundedLevenshtein(a, b, 3));
+  }
+}
+BENCHMARK(BM_LevenshteinBitVector32);
 
 void BM_Hungarian(benchmark::State& state) {
   Rng rng(3);

@@ -36,7 +36,7 @@ inline bool IsEditSimilarity(SimilarityKind kind) {
 /// Implementations are stateless and thread-safe. `ScoreThresholded` applies
 /// the α cutoff φ_α of Section 2.1: scores below α collapse to 0. Jaccard
 /// compares the sorted-unique `tokens`; the edit similarities compare `text`
-/// and exploit α to run a banded Levenshtein.
+/// and turn α into an edit budget for BoundedLevenshtein.
 class ElementSimilarity {
  public:
   virtual ~ElementSimilarity() = default;

@@ -137,6 +137,56 @@ TEST(ThresholdTest, NedsBandedAgreesWithPlain) {
   }
 }
 
+// φ_α must equal the cutoff applied to the plain score, bit for bit, on
+// both sides of every boundary. Word pairs of 1-70 bytes at these α span
+// edit budgets 0, 1 and larger, so every kernel path is hit.
+TEST(ThresholdTest, EditThresholdedIsCutoffOfPlainOnRandomPairs) {
+  Rng rng(77);
+  auto random_word = [&] {
+    std::string s;
+    const size_t len = 1 + rng.NextBounded(70);
+    for (size_t i = 0; i < len; ++i) {
+      s.push_back(static_cast<char>('a' + rng.NextBounded(4)));
+    }
+    return s;
+  };
+  auto edited = [&](std::string s) {
+    const uint64_t edits = rng.NextBounded(6);
+    for (uint64_t e = 0; e < edits && !s.empty(); ++e) {
+      const size_t pos = rng.NextBounded(s.size());
+      switch (rng.NextBounded(3)) {
+        case 0:
+          s[pos] = static_cast<char>('a' + rng.NextBounded(4));
+          break;
+        case 1:
+          s.insert(pos, 1, static_cast<char>('a' + rng.NextBounded(4)));
+          break;
+        default:
+          if (s.size() > 1) s.erase(pos, 1);
+      }
+    }
+    return s;
+  };
+  for (SimilarityKind kind : {SimilarityKind::kEds, SimilarityKind::kNeds}) {
+    const ElementSimilarity* sim = GetSimilarity(kind);
+    for (int t = 0; t < 2000; ++t) {
+      Element a;
+      Element b;
+      const std::string x = random_word();
+      const std::string y = t % 4 == 3 ? random_word() : edited(x);
+      a.text = x;
+      b.text = y;
+      const double plain = sim->Score(a, b);
+      for (double alpha : {0.5, 0.7, 0.8, 0.9}) {
+        const double expected = plain >= alpha - kFloatSlack ? plain : 0.0;
+        EXPECT_EQ(sim->ScoreThresholded(a, b, alpha), expected)
+            << SimilarityKindName(kind) << " alpha=" << alpha << " a=" << x
+            << " b=" << y;
+      }
+    }
+  }
+}
+
 TEST(MetricDualTest, JaccardDistanceTriangle) {
   // 1 - Jac is the Jaccard distance, a metric; sample-check it because the
   // reduction-based verification (Section 5.3) depends on it.
