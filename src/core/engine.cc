@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <cstdio>
+
 #include "core/query_scratch.h"
 #include "core/sharded_engine.h"
 
@@ -19,6 +21,13 @@ QueryScratch& ThreadScratch(size_t num_sets) {
 }
 
 }  // namespace
+
+void AppendPairLine(std::string* out, const PairMatch& p) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id,
+                p.matching_score, p.relatedness);
+  *out += buf;
+}
 
 SilkMoth::SilkMoth(const Collection* data, Options options)
     : data_(data), options_(options) {

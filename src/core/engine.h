@@ -28,6 +28,12 @@ struct PairMatch {
   friend bool operator==(const PairMatch&, const PairMatch&) = default;
 };
 
+/// Appends `p` as one pair-stream line: ref_id, set_id, matching score and
+/// relatedness, tab-separated, scores with six decimals, newline-terminated.
+/// Every pair stream the CLI prints and every serve kResult body goes
+/// through here, so they are byte-identical by construction.
+void AppendPairLine(std::string* out, const PairMatch& p);
+
 /// Canonical discovery output order: ascending (ref_id, set_id). Every
 /// discovery path sorts with this, which is what makes outputs comparable
 /// byte-for-byte across shard and thread counts.

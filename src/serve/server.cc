@@ -28,15 +28,6 @@ namespace serve {
 
 namespace {
 
-/// Formats one pair line exactly the way `query --snapshot` prints it — the
-/// byte-parity contract of kResult bodies.
-void AppendPairLine(std::string* out, const PairMatch& p) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id,
-                p.matching_score, p.relatedness);
-  *out += buf;
-}
-
 Frame ErrorFrame(uint64_t request_id, const char* code,
                  const std::string& detail) {
   Frame f;

@@ -74,6 +74,24 @@ expect_error "run negative retries" 2 "must be non-negative" -- \
 expect_error "run malformed inject plan" 2 "invalid --inject value" -- \
   run --data "$TMP/corpus.txt" --inject frobnicate
 
+# Numeric and enum flags are validated whole-string: junk exits 2 naming
+# the flag and the value instead of running with a silently parsed number.
+expect_error "discover non-numeric alpha" 2 "invalid --alpha value: eighty" -- \
+  discover --data "$TMP/corpus.txt" --alpha eighty
+expect_error "discover trailing junk delta" 2 "invalid --delta value: 0.5x" -- \
+  discover --data "$TMP/corpus.txt" --delta 0.5x
+expect_error "discover non-numeric q" 2 "invalid --q value: abc" -- \
+  discover --data "$TMP/corpus.txt" --phi eds --alpha 0.8 --q abc
+expect_error "discover trailing junk threads" 2 \
+  "invalid --threads value: 4x" -- \
+  discover --data "$TMP/corpus.txt" --threads 4x
+expect_error "discover unknown metric" 2 "invalid --metric value: bogus" -- \
+  discover --data "$TMP/corpus.txt" --metric bogus
+expect_error "generate non-numeric N" 2 "invalid N value: ten" -- \
+  generate dblp ten "$TMP/gen.txt"
+expect_error "generate negative N" 2 "invalid N value: -5" -- \
+  generate dblp -5 "$TMP/gen.txt"
+
 # Shards run under different query options must not merge: the combined
 # stream would match no single-process run.
 "$CLI" shard-run --snapshot "$TMP/corpus.snap" --shard 1 \

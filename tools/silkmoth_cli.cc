@@ -70,39 +70,27 @@
 //                      [--requests N] [--batch N] [--workers N]
 //                      [--duration S] [--seed N] [--shards N] [--stats]
 //
-// See docs/CLI.md for the complete reference (every flag, exit codes, file
-// formats) and a copy-pasteable build→query walkthrough.
-//
-// Options:
-//   --metric similarity|containment   (default similarity)
-//   --phi jaccard|eds|neds            (default jaccard)
-//   --delta <0..1]                    (default 0.7)
-//   --alpha [0..1)                    (default 0)
-//   --q <int>                         (edit similarity; default from alpha)
-//   --scheme weighted|unweighted|skyline|dichotomy   (default dichotomy)
-//   --threads <n>                     (default 1)
-//   --shards <n>                      (index shards; default 1)
-//   --stats                           (print phase statistics; per-shard
-//                                      breakdown when sharded)
-//   --split                           (build: per-shard snapshot files)
-//   --copy-load                       (query/shard-run: deep-copy load
-//                                      instead of the default zero-copy
-//                                      mmap)
-//   --approx-scores                   (report greedy lower bounds for
-//                                      bound-accepted pairs; skips their
-//                                      reporting solve)
-//   --generate dblp|schema|columns N  (write a synthetic dataset instead)
+// Options: every flag, its default and its validation rule live in
+// docs/CLI.md ("Common options" and the per-subcommand sections), with the
+// exit codes, the file formats and a copy-pasteable build→query
+// walkthrough. The parser below is one flag table (ParseArgs).
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -177,6 +165,13 @@ int Usage(const char* argv0) {
   return ExitCode(CliExit::kUsage);
 }
 
+/// Prints `msg` as a one-line stderr diagnostic and returns `code`'s exit
+/// status.
+int Fail(CliExit code, const std::string& msg) {
+  std::fprintf(stderr, "%s\n", msg.c_str());
+  return ExitCode(code);
+}
+
 /// Everything the subcommands parse from the command line. Positional
 /// arguments (merge's result files) land in `inputs`.
 struct CliArgs {
@@ -240,277 +235,227 @@ struct CliArgs {
   std::string ingest_path;
 };
 
+/// The "invalid FLAG value: V" diagnostic; always false.
+bool Invalid(const char* flag, const char* v) {
+  std::fprintf(stderr, "invalid %s value: %s\n", flag, v);
+  return false;
+}
+
 /// strtol with full-string validation; false (and a stderr line) on junk.
 bool ParseLong(const char* flag, const char* v, long* out) {
   char* end = nullptr;
   *out = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0') {
-    std::fprintf(stderr, "invalid %s value: %s\n", flag, v);
-    return false;
-  }
-  return true;
+  return (end != v && *end == '\0') || Invalid(flag, v);
 }
 
-/// strtod with full-string validation; false (and a stderr line) on junk.
+/// strtod with full-string validation; false (and a stderr line) on junk,
+/// NaN included.
 bool ParseDouble(const char* flag, const char* v, double* out) {
   char* end = nullptr;
   *out = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    std::fprintf(stderr, "invalid %s value: %s\n", flag, v);
-    return false;
-  }
-  return true;
+  return (end != v && *end == '\0' && !std::isnan(*out)) || Invalid(flag, v);
 }
+
+/// The command-line spelling of each enum value: the one list the parser
+/// (--metric/--phi/--scheme) and `run`'s worker flags both read.
+template <typename E>
+using Names = std::vector<std::pair<const char*, E>>;
+
+const Names<Relatedness> kMetricNames = {
+    {"similarity", Relatedness::kSimilarity},
+    {"containment", Relatedness::kContainment}};
+const Names<SimilarityKind> kPhiNames = {{"jaccard", SimilarityKind::kJaccard},
+                                         {"eds", SimilarityKind::kEds},
+                                         {"neds", SimilarityKind::kNeds}};
+const Names<SignatureSchemeKind> kSchemeNames = {
+    {"weighted", SignatureSchemeKind::kWeighted},
+    {"unweighted", SignatureSchemeKind::kCombUnweighted},
+    {"skyline", SignatureSchemeKind::kSkyline},
+    {"dichotomy", SignatureSchemeKind::kDichotomy}};
+
+template <typename E>
+const char* NameOf(const Names<E>& names, E value) {
+  for (const auto& [name, e] : names) {
+    if (e == value) return name;
+  }
+  return "";
+}
+
+/// A field of CliArgs or of its Options: where a flag's value lands.
+template <typename T>
+T& FieldOf(CliArgs& a, T CliArgs::*field) {
+  return a.*field;
+}
+template <typename T>
+T& FieldOf(CliArgs& a, T Options::*field) {
+  return a.opt.*field;
+}
+
+/// Where a flag's value goes. `set` parses and stores it, returning false
+/// (after a stderr diagnostic) on junk; switches take no value.
+struct Dest {
+  bool takes_value;
+  std::function<bool(CliArgs& a, const char* flag, const char* v)> set;
+};
+
+template <typename M>
+Dest Str(M field) {
+  return {true, [field](CliArgs& a, const char*, const char* v) {
+            FieldOf(a, field) = v;
+            return true;
+          }};
+}
+
+template <typename M>
+Dest Long(M field) {
+  return {true, [field](CliArgs& a, const char* flag, const char* v) {
+            return ParseLong(flag, v, &FieldOf(a, field));
+          }};
+}
+
+template <typename M>
+Dest Int(M field) {
+  return {true, [field](CliArgs& a, const char* flag, const char* v) {
+            long x = 0;
+            if (!ParseLong(flag, v, &x)) return false;
+            if (x < INT_MIN || x > INT_MAX) return Invalid(flag, v);
+            FieldOf(a, field) = static_cast<int>(x);
+            return true;
+          }};
+}
+
+template <typename M>
+Dest Double(M field) {
+  return {true, [field](CliArgs& a, const char* flag, const char* v) {
+            return ParseDouble(flag, v, &FieldOf(a, field));
+          }};
+}
+
+template <typename M, typename E>
+Dest Enum(M field, const Names<E>& names) {
+  return {true, [field, &names](CliArgs& a, const char* flag, const char* v) {
+            for (const auto& [name, e] : names) {
+              if (std::strcmp(name, v) == 0) {
+                FieldOf(a, field) = e;
+                return true;
+              }
+            }
+            return Invalid(flag, v);
+          }};
+}
+
+template <typename M>
+Dest Switch(M field, bool value = true) {
+  return {false, [field, value](CliArgs& a, const char*, const char*) {
+            FieldOf(a, field) = value;
+            return true;
+          }};
+}
+
+/// The flag table: one row per flag, one table for every subcommand. The
+/// parser accepts every flag for every subcommand; each reads the fields
+/// it uses.
+const std::pair<const char*, Dest> kFlags[] = {
+    {"--data", Str(&CliArgs::data_path)},
+    // --query FILE (search, shard-run, run) and --input FILE (query,
+    // ingest, serve-client) are the same thing: the reference payload.
+    {"--query", Str(&CliArgs::query_path)},
+    {"--input", Str(&CliArgs::query_path)},
+    {"--out", Str(&CliArgs::out_path)},
+    {"--snapshot", Str(&CliArgs::snapshot_path)},
+    {"--shard", Long(&CliArgs::shard)},
+    {"--metric", Enum(&Options::metric, kMetricNames)},
+    {"--phi", Enum(&Options::phi, kPhiNames)},
+    {"--delta", Double(&Options::delta)},
+    {"--alpha", Double(&Options::alpha)},
+    {"--q", Int(&Options::q)},
+    {"--scheme", Enum(&Options::scheme, kSchemeNames)},
+    {"--threads", Int(&Options::num_threads)},
+    {"--shards", {true, [](CliArgs& a, const char* flag, const char* v) {
+                    a.shards_set = true;
+                    return Int(&Options::num_shards).set(a, flag, v);
+                  }}},
+    {"--stats", Switch(&CliArgs::stats)},
+    {"--oracle-check", Switch(&CliArgs::oracle_check)},
+    {"--split", Switch(&CliArgs::split)},
+    {"--copy-load", Switch(&CliArgs::copy_load)},
+    {"--approx-scores", Switch(&Options::exact_scores, false)},
+    {"--top-k", {true, [](CliArgs& a, const char* flag, const char* v) {
+                   if (!ParseLong(flag, v, &a.top_k)) return false;
+                   if (a.top_k > 0) return true;
+                   std::fprintf(stderr,
+                                "invalid --top-k value: %s (must be > 0)\n", v);
+                   return false;
+                 }}},
+    {"--jobs", Long(&CliArgs::jobs)},
+    {"--retries", Long(&CliArgs::retries)},
+    {"--shard-deadline", Double(&CliArgs::shard_deadline)},
+    {"--backoff-base", Double(&CliArgs::backoff_base)},
+    {"--backoff-cap", Double(&CliArgs::backoff_cap)},
+    {"--backoff-seed", {true, [](CliArgs& a, const char* flag, const char* v) {
+                          long seed = 0;
+                          if (!ParseLong(flag, v, &seed)) return false;
+                          a.backoff_seed =
+                              static_cast<unsigned long long>(seed);
+                          return true;
+                        }}},
+    {"--allow-partial", Switch(&CliArgs::allow_partial)},
+    {"--report", Str(&CliArgs::report_path)},
+    {"--workdir", Str(&CliArgs::workdir)},
+    {"--keep-workdir", Switch(&CliArgs::keep_workdir)},
+    // Hidden, test-only: arm a SILKMOTH_FAULT spec in one worker attempt
+    // (see src/snapshot/orchestrator.h, FaultPlan). Repeatable.
+    {"--inject", {true, [](CliArgs& a, const char*, const char* v) {
+                    FaultPlan plan;
+                    const std::string err = ParseFaultPlan(v, &plan);
+                    if (!err.empty()) {
+                      std::fprintf(stderr, "invalid --inject value: %s\n",
+                                   err.c_str());
+                      return false;
+                    }
+                    a.injections.push_back(plan);
+                    return true;
+                  }}},
+    {"--workload", Str(&CliArgs::workload)},
+    {"--json", Str(&CliArgs::json_path)},
+    {"--list", Switch(&CliArgs::list_workloads)},
+    {"--requests", Long(&CliArgs::bench_requests)},
+    {"--batch", Long(&CliArgs::bench_batch)},
+    {"--workers", Long(&CliArgs::bench_workers)},
+    {"--duration", Double(&CliArgs::bench_duration)},
+    {"--seed", Long(&CliArgs::bench_seed)},
+    {"--listen", Str(&CliArgs::listen_path)},
+    {"--stdio", Switch(&CliArgs::stdio)},
+    {"--max-queue", Long(&CliArgs::max_queue)},
+    {"--max-inflight", Long(&CliArgs::max_inflight)},
+    {"--max-frame", Long(&CliArgs::max_frame)},
+    {"--request-deadline", Double(&CliArgs::request_deadline)},
+    {"--connect", Str(&CliArgs::connect_path)},
+    {"--ping", Switch(&CliArgs::ping)},
+    {"--shutdown", Switch(&CliArgs::shutdown_frame)},
+    {"--delta-out", Str(&CliArgs::delta_out_path)},
+    {"--delta-file", Str(&CliArgs::delta_file_path)},
+    {"--ingest", Str(&CliArgs::ingest_path)},
+};
 
 bool ParseArgs(int argc, char** argv, int start, CliArgs* args) {
   for (int i = start; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--data") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->data_path = v;
-    } else if (arg == "--query" || arg == "--input") {
-      // --query FILE (search, shard-run) and --input FILE (query) are the
-      // same thing: the reference payload streamed against the corpus.
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->query_path = v;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->out_path = v;
-    } else if (arg == "--snapshot") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->snapshot_path = v;
-    } else if (arg == "--shard") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--shard", v, &args->shard)) return false;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--jobs", v, &args->jobs)) return false;
-    } else if (arg == "--retries") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--retries", v, &args->retries)) {
+    const char* arg = argv[i];
+    const auto* flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [arg](const auto& row) { return std::strcmp(row.first, arg) == 0; });
+    if (flag == std::end(kFlags)) {
+      if (arg[0] == '-') {
+        std::fprintf(stderr, "unknown option: %s\n", arg);
         return false;
       }
-    } else if (arg == "--shard-deadline") {
-      const char* v = next();
-      if (v == nullptr ||
-          !ParseDouble("--shard-deadline", v, &args->shard_deadline)) {
-        return false;
-      }
-    } else if (arg == "--backoff-base") {
-      const char* v = next();
-      if (v == nullptr ||
-          !ParseDouble("--backoff-base", v, &args->backoff_base)) {
-        return false;
-      }
-    } else if (arg == "--backoff-cap") {
-      const char* v = next();
-      if (v == nullptr ||
-          !ParseDouble("--backoff-cap", v, &args->backoff_cap)) {
-        return false;
-      }
-    } else if (arg == "--backoff-seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      long seed = 0;
-      if (!ParseLong("--backoff-seed", v, &seed)) return false;
-      args->backoff_seed = static_cast<unsigned long long>(seed);
-    } else if (arg == "--allow-partial") {
-      args->allow_partial = true;
-    } else if (arg == "--report") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->report_path = v;
-    } else if (arg == "--workdir") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->workdir = v;
-    } else if (arg == "--keep-workdir") {
-      args->keep_workdir = true;
-    } else if (arg == "--inject") {
-      // Hidden, test-only: arm a SILKMOTH_FAULT spec in one worker attempt
-      // (see src/snapshot/orchestrator.h, FaultPlan). Repeatable.
-      const char* v = next();
-      if (v == nullptr) return false;
-      FaultPlan plan;
-      const std::string perr = ParseFaultPlan(v, &plan);
-      if (!perr.empty()) {
-        std::fprintf(stderr, "invalid --inject value: %s\n", perr.c_str());
-        return false;
-      }
-      args->injections.push_back(plan);
-    } else if (arg == "--metric") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "similarity") == 0) {
-        args->opt.metric = Relatedness::kSimilarity;
-      } else if (std::strcmp(v, "containment") == 0) {
-        args->opt.metric = Relatedness::kContainment;
-      } else {
-        return false;
-      }
-    } else if (arg == "--phi") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "jaccard") == 0) {
-        args->opt.phi = SimilarityKind::kJaccard;
-      } else if (std::strcmp(v, "eds") == 0) {
-        args->opt.phi = SimilarityKind::kEds;
-      } else if (std::strcmp(v, "neds") == 0) {
-        args->opt.phi = SimilarityKind::kNeds;
-      } else {
-        return false;
-      }
-    } else if (arg == "--delta") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.delta = std::atof(v);
-    } else if (arg == "--alpha") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.alpha = std::atof(v);
-    } else if (arg == "--q") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.q = std::atoi(v);
-    } else if (arg == "--scheme") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "weighted") == 0) {
-        args->opt.scheme = SignatureSchemeKind::kWeighted;
-      } else if (std::strcmp(v, "unweighted") == 0) {
-        args->opt.scheme = SignatureSchemeKind::kCombUnweighted;
-      } else if (std::strcmp(v, "skyline") == 0) {
-        args->opt.scheme = SignatureSchemeKind::kSkyline;
-      } else if (std::strcmp(v, "dichotomy") == 0) {
-        args->opt.scheme = SignatureSchemeKind::kDichotomy;
-      } else {
-        return false;
-      }
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.num_threads = std::atoi(v);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.num_shards = std::atoi(v);
-      args->shards_set = true;
-    } else if (arg == "--workload") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->workload = v;
-    } else if (arg == "--json") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->json_path = v;
-    } else if (arg == "--list") {
-      args->list_workloads = true;
-    } else if (arg == "--requests") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--requests", v, &args->bench_requests)) {
-        return false;
-      }
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--batch", v, &args->bench_batch)) {
-        return false;
-      }
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--workers", v, &args->bench_workers)) {
-        return false;
-      }
-    } else if (arg == "--duration") {
-      const char* v = next();
-      if (v == nullptr ||
-          !ParseDouble("--duration", v, &args->bench_duration)) {
-        return false;
-      }
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--seed", v, &args->bench_seed)) {
-        return false;
-      }
-    } else if (arg == "--top-k") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--top-k", v, &args->top_k)) {
-        return false;
-      }
-      if (args->top_k <= 0) {
-        std::fprintf(stderr, "invalid --top-k value: %s (must be > 0)\n", v);
-        return false;
-      }
-    } else if (arg == "--listen") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->listen_path = v;
-    } else if (arg == "--stdio") {
-      args->stdio = true;
-    } else if (arg == "--max-queue") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--max-queue", v, &args->max_queue)) {
-        return false;
-      }
-    } else if (arg == "--max-inflight") {
-      const char* v = next();
-      if (v == nullptr ||
-          !ParseLong("--max-inflight", v, &args->max_inflight)) {
-        return false;
-      }
-    } else if (arg == "--max-frame") {
-      const char* v = next();
-      if (v == nullptr || !ParseLong("--max-frame", v, &args->max_frame)) {
-        return false;
-      }
-    } else if (arg == "--request-deadline") {
-      const char* v = next();
-      if (v == nullptr ||
-          !ParseDouble("--request-deadline", v, &args->request_deadline)) {
-        return false;
-      }
-    } else if (arg == "--connect") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->connect_path = v;
-    } else if (arg == "--delta-out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->delta_out_path = v;
-    } else if (arg == "--delta-file") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->delta_file_path = v;
-    } else if (arg == "--ingest") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->ingest_path = v;
-    } else if (arg == "--ping") {
-      args->ping = true;
-    } else if (arg == "--shutdown") {
-      args->shutdown_frame = true;
-    } else if (arg == "--stats") {
-      args->stats = true;
-    } else if (arg == "--oracle-check") {
-      args->oracle_check = true;
-    } else if (arg == "--split") {
-      args->split = true;
-    } else if (arg == "--copy-load") {
-      args->copy_load = true;
-    } else if (arg == "--approx-scores") {
-      args->opt.exact_scores = false;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return false;
-    } else {
       args->inputs.push_back(arg);
+      continue;
     }
+    const Dest& dest = flag->second;
+    if (dest.takes_value && i + 1 >= argc) return false;
+    const char* v = dest.takes_value ? argv[++i] : nullptr;
+    if (!dest.set(*args, arg, v)) return false;
   }
   return true;
 }
@@ -518,35 +463,42 @@ bool ParseArgs(int argc, char** argv, int start, CliArgs* args) {
 int Generate(int argc, char** argv) {
   if (argc < 5) return Usage(argv[0]);
   const std::string kind = argv[2];
-  const size_t n = static_cast<size_t>(std::atoll(argv[3]));
+  long n = 0;
+  if (!ParseLong("N", argv[3], &n)) return Usage(argv[0]);
+  if (n < 0) {
+    Invalid("N", argv[3]);
+    return Usage(argv[0]);
+  }
+  const size_t count = static_cast<size_t>(n);
   const std::string out = argv[4];
   RawSets sets;
   if (kind == "dblp") {
     DblpParams p;
-    p.num_titles = n;
+    p.num_titles = count;
     sets = GenerateDblpSets(p);
   } else if (kind == "schema") {
-    sets = GenerateSchemaSets(SchemaMatchingDefaults(n));
+    sets = GenerateSchemaSets(SchemaMatchingDefaults(count));
   } else if (kind == "columns") {
-    sets = GenerateColumnSets(InclusionDependencyDefaults(n));
+    sets = GenerateColumnSets(InclusionDependencyDefaults(count));
   } else {
     return Usage(argv[0]);
   }
-  if (!SaveRawSets(sets, out)) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return ExitCode(CliExit::kIo);
-  }
+  if (!SaveRawSets(sets, out)) return Fail(CliExit::kIo, "cannot write " + out);
   std::printf("wrote %zu sets to %s\n", sets.size(), out.c_str());
   return ExitCode(CliExit::kOk);
+}
+
+/// LoadRawSets with the "cannot read FILE" diagnostic on failure.
+bool ReadSets(const std::string& path, RawSets* raw) {
+  if (LoadRawSets(path, raw)) return true;
+  std::fprintf(stderr, "cannot read %s\n", path.c_str());
+  return false;
 }
 
 /// Loads + tokenizes the --data file per the parsed options.
 bool LoadData(const CliArgs& args, Collection* data, TokenizerKind* tk) {
   RawSets raw;
-  if (!LoadRawSets(args.data_path, &raw)) {
-    std::fprintf(stderr, "cannot read %s\n", args.data_path.c_str());
-    return false;
-  }
+  if (!ReadSets(args.data_path, &raw)) return false;
   *tk = IsEditSimilarity(args.opt.phi) ? TokenizerKind::kQGram
                                        : TokenizerKind::kWord;
   *data = BuildCollection(raw, *tk, args.opt.EffectiveQ());
@@ -570,13 +522,61 @@ CliExit LoadErrorExit(const std::string& err) {
   return io ? CliExit::kIo : CliExit::kCorruptInput;
 }
 
-/// Prints the explicit partial-coverage stamp — comment lines ahead of the
-/// pair stream, so a degraded merge is never mistaken for a complete one.
-/// Ranges are the half-open global set-id ranges the covered shards owned.
-void PrintCoverage(const MergeCoverage& cov) {
+/// Opens --snapshot the one way every snapshot-reading subcommand does:
+/// zero-copy mmap unless --copy-load, only shard `shard`'s index when
+/// `shard` >= 0, loader errors mapped through LoadErrorExit. `print_load`
+/// prints the `# load:` summary; `check_compat` refuses query options the
+/// snapshot's tokenization cannot serve. Returns 0 or the diagnosed exit
+/// code.
+int OpenSnapshot(const CliArgs& args, Snapshot* snap, bool check_compat,
+                 bool print_load, long shard = -1) {
+  WallTimer timer;
+  SnapshotLoadStats stats;
+  const SnapshotLoadMode mode =
+      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
+  const std::string err =
+      shard < 0 ? LoadSnapshot(args.snapshot_path, snap, mode, &stats)
+                : LoadSnapshotShard(args.snapshot_path,
+                                    static_cast<uint32_t>(shard), snap, mode,
+                                    &stats);
+  if (!err.empty()) return Fail(LoadErrorExit(err), err);
+  if (print_load) {
+    std::printf("# load: %" PRIu64 " files, %" PRIu64 " bytes mapped, %" PRIu64
+                " bytes copied in %.3fs\n",
+                stats.files, stats.bytes_mapped, stats.bytes_copied,
+                timer.ElapsedSeconds());
+  }
+  if (!check_compat) return 0;
+  const std::string compat_err = CheckSnapshotCompatible(*snap, args.opt);
+  return compat_err.empty() ? 0 : Fail(CliExit::kIncompatible, compat_err);
+}
+
+/// The q-gram length a snapshot was tokenized with (0 for word tokens).
+int SnapshotQ(const Snapshot& snap) {
+  return snap.tokenizer == TokenizerKind::kQGram ? snap.q : 0;
+}
+
+/// Prints a pair stream, one AppendPairLine line per pair.
+void PrintPairs(const std::vector<PairMatch>& pairs) {
+  std::string out;
+  for (const PairMatch& p : pairs) AppendPairLine(&out, p);
+  std::fwrite(out.data(), 1, out.size(), stdout);
+}
+
+/// Prints the merge summary, the partial-coverage stamp when shards are
+/// missing (comment lines ahead of the pairs, so a degraded merge is never
+/// mistaken for a complete one), the pairs — exactly the discover output,
+/// so merged runs diff clean against `discover --shards N` — and the stats.
+void PrintMerged(size_t num_results, const std::vector<PairMatch>& pairs,
+                 const MergeCoverage& cov, const ShardedSearchStats& stats,
+                 bool show_stats) {
+  std::printf("# merged %zu shard results: %zu pairs\n", num_results,
+              pairs.size());
   // FormatCoverage is the one stamp formatter — the serve daemon's
   // DEADLINE_EXCEEDED bodies use it too, so the grammar cannot drift.
-  std::fputs(FormatCoverage(cov).c_str(), stdout);
+  if (!cov.complete) std::fputs(FormatCoverage(cov).c_str(), stdout);
+  PrintPairs(pairs);
+  if (show_stats) std::fputs(stats.ToString().c_str(), stdout);
 }
 
 /// Path of the running binary, for `run` to exec its own shard-run
@@ -622,22 +622,15 @@ std::vector<std::string> WorkerFlags(const Options& opt, bool copy_load) {
     flags.push_back(std::move(v));
   };
   char buf[64];
-  add("--metric", opt.metric == Relatedness::kContainment ? "containment"
-                                                          : "similarity");
-  add("--phi", opt.phi == SimilarityKind::kEds    ? "eds"
-               : opt.phi == SimilarityKind::kNeds ? "neds"
-                                                  : "jaccard");
+  add("--metric", NameOf(kMetricNames, opt.metric));
+  add("--phi", NameOf(kPhiNames, opt.phi));
   // %.17g round-trips a double exactly through the worker's strtod.
   std::snprintf(buf, sizeof(buf), "%.17g", opt.delta);
   add("--delta", buf);
   std::snprintf(buf, sizeof(buf), "%.17g", opt.alpha);
   add("--alpha", buf);
   if (opt.q > 0) add("--q", std::to_string(opt.q));
-  add("--scheme",
-      opt.scheme == SignatureSchemeKind::kWeighted         ? "weighted"
-      : opt.scheme == SignatureSchemeKind::kCombUnweighted ? "unweighted"
-      : opt.scheme == SignatureSchemeKind::kSkyline        ? "skyline"
-                                                           : "dichotomy");
+  add("--scheme", NameOf(kSchemeNames, opt.scheme));
   add("--threads", std::to_string(opt.num_threads));
   if (!opt.exact_scores) flags.emplace_back("--approx-scores");
   if (copy_load) flags.emplace_back("--copy-load");
@@ -660,54 +653,62 @@ std::string BuildRunReportJson(const RunReport& report,
   return json;
 }
 
-/// Stages + commits the report JSON atomically; "" on success.
-std::string WriteRunReport(const std::string& path, const std::string& json) {
+/// The CLI's one file write: stages `bytes` next to `path` and commits them
+/// atomically (the run report, the ingest delta rewrite, `bench --json`).
+/// False, after a stderr diagnostic, on failure.
+bool WriteFileAtomically(const std::string& path, const std::string& bytes) {
   AtomicFileWriter writer(path);
   std::string err = writer.Open();
-  if (err.empty()) err = writer.Write(json + "\n");
+  if (err.empty()) err = writer.Write(bytes);
   if (err.empty()) err = writer.Commit();
-  return err;
+  if (err.empty()) return true;
+  std::fprintf(stderr, "%s\n", err.c_str());
+  return false;
 }
 
-// build: tokenize + index + write snapshot. One process does the expensive
-// preparation; any number of shard-run processes reuse it with zero
-// re-tokenization.
-int RunBuild(const CliArgs& args) {
-  if (args.data_path.empty() || args.out_path.empty()) {
-    std::fprintf(stderr, "build needs --data and --out\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  const std::string err = args.opt.Validate();
-  if (!err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
+/// The preparation `build` and `run` share: load + tokenize --data, index
+/// it into --shards shards, and save it to `path` (split with --split).
+/// `*seconds` times indexing + saving. Returns 0 or the diagnosed exit code.
+int BuildAndSave(const CliArgs& args, const std::string& path, Snapshot* snap,
+                 double* seconds) {
   Collection data;
   TokenizerKind tk;
   if (!LoadData(args, &data, &tk)) return ExitCode(CliExit::kIo);
   const int q = tk == TokenizerKind::kQGram ? args.opt.EffectiveQ() : 0;
   WallTimer timer;
-  Snapshot snap =
-      BuildSnapshot(std::move(data), tk, q,
-                    static_cast<uint32_t>(args.opt.num_shards),
-                    args.opt.num_threads);
-  const std::string save_err =
-      args.split ? SaveSnapshotSplit(snap, args.out_path)
-                 : SaveSnapshot(snap, args.out_path);
-  if (!save_err.empty()) {
-    std::fprintf(stderr, "%s\n", save_err.c_str());
-    return ExitCode(CliExit::kIo);
+  *snap = BuildSnapshot(std::move(data), tk, q,
+                        static_cast<uint32_t>(args.opt.num_shards),
+                        args.opt.num_threads);
+  const std::string err = args.split ? SaveSnapshotSplit(*snap, path)
+                                     : SaveSnapshot(*snap, path);
+  if (!err.empty()) return Fail(CliExit::kIo, err);
+  *seconds = timer.ElapsedSeconds();
+  return 0;
+}
+
+/// Lists the per-shard files of a split snapshot at `path`.
+void PrintShardFiles(const std::string& path, uint32_t num_shards) {
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    std::printf("# shard file %s\n", SnapshotShardPath(path, s).c_str());
+  }
+}
+
+// build: tokenize + index + write snapshot. One process does the expensive
+// preparation; any number of shard-run processes reuse it with zero
+// re-tokenization.
+int RunBuild(const CliArgs& args, const char*) {
+  Snapshot snap;
+  double seconds = 0.0;
+  if (const int rc = BuildAndSave(args, args.out_path, &snap, &seconds)) {
+    return rc;
   }
   std::printf("# wrote %s snapshot %s: %zu sets, %zu tokens, %zu shards "
               "in %.3fs\n",
               args.split ? "split" : "monolithic", args.out_path.c_str(),
               snap.data.NumSets(), snap.data.dict->size(), snap.num_shards(),
-              timer.ElapsedSeconds());
+              seconds);
   if (args.split) {
-    for (uint32_t s = 0; s < snap.num_shards(); ++s) {
-      std::printf("# shard file %s\n",
-                  SnapshotShardPath(args.out_path, s).c_str());
-    }
+    PrintShardFiles(args.out_path, static_cast<uint32_t>(snap.num_shards()));
   }
   return ExitCode(CliExit::kOk);
 }
@@ -723,10 +724,7 @@ bool LoadQueryBlock(const std::string& path, TokenizerKind tokenizer, int q,
                     const Collection& corpus, Collection* query,
                     ReferenceBlock* block) {
   RawSets raw;
-  if (!LoadRawSets(path, &raw)) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return false;
-  }
+  if (!ReadSets(path, &raw)) return false;
   *block = BuildQueryBlock(raw, tokenizer, q, corpus, query);
   std::printf("# query payload: %zu sets (%zu elements), %zu oov tokens, "
               "hash %016llx\n",
@@ -754,56 +752,30 @@ void PrintOracleAgreement(const std::vector<PairMatch>& pairs,
               ids_match ? "yes" : "NO");
 }
 
+/// Prints a discovery result: the pair count and wall time, then the pairs.
+void PrintDiscovery(const std::vector<PairMatch>& pairs,
+                    const WallTimer& timer) {
+  std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
+              timer.ElapsedSeconds());
+  PrintPairs(pairs);
+}
+
 // shard-run: load a snapshot, execute discovery for one shard id — the
 // snapshot's own self-join, or with --query an external payload streamed
 // against the shard — and persist the sorted PairMatch stream + stats.
-int RunShard(const CliArgs& args) {
-  if (args.snapshot_path.empty()) {
-    std::fprintf(stderr, "shard-run needs --snapshot\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  if (args.shard < 0) {
-    std::fprintf(stderr, "shard-run needs --shard K (0-based)\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  if (args.out_path.empty()) {
-    std::fprintf(stderr, "shard-run needs --out\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  const std::string opt_err = args.opt.Validate();
-  if (!opt_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", opt_err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
+int RunShard(const CliArgs& args, const char*) {
   // Worker-side fault hook (a no-op unless SILKMOTH_FAULT arms it):
   // kill/abort/sleep execute inside Hit(); a `fail` outcome exits cleanly
   // non-zero so the orchestrator sees a plain worker failure.
   if (fault::Hit("worker-start").kind == fault::Outcome::kFail) {
-    std::fprintf(stderr, "injected worker-start failure\n");
-    return ExitCode(CliExit::kIo);
+    return Fail(CliExit::kIo, "injected worker-start failure");
   }
   // Shard-local load: on a split snapshot this maps exactly two files —
   // common + this shard — so worker startup scales with the shard size.
-  WallTimer load_timer;
   Snapshot snap;
-  SnapshotLoadStats load_stats;
-  const SnapshotLoadMode mode =
-      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
-  const std::string load_err =
-      LoadSnapshotShard(args.snapshot_path, static_cast<uint32_t>(args.shard),
-                        &snap, mode, &load_stats);
-  if (!load_err.empty()) {
-    std::fprintf(stderr, "%s\n", load_err.c_str());
-    return ExitCode(LoadErrorExit(load_err));
-  }
-  std::printf("# load: %" PRIu64 " files, %" PRIu64 " bytes mapped, %" PRIu64
-              " bytes copied in %.3fs\n",
-              load_stats.files, load_stats.bytes_mapped,
-              load_stats.bytes_copied, load_timer.ElapsedSeconds());
-  const std::string compat_err = CheckSnapshotCompatible(snap, args.opt);
-  if (!compat_err.empty()) {
-    std::fprintf(stderr, "%s\n", compat_err.c_str());
-    return ExitCode(CliExit::kIncompatible);
+  if (const int rc = OpenSnapshot(args, &snap, /*check_compat=*/true,
+                                  /*print_load=*/true, args.shard)) {
+    return rc;
   }
   WallTimer timer;
   ShardResult result;
@@ -819,9 +791,8 @@ int RunShard(const CliArgs& args) {
     // against different queries (or against a self-join).
     Collection query;
     ReferenceBlock block;
-    const int q = snap.tokenizer == TokenizerKind::kQGram ? snap.q : 0;
-    if (!LoadQueryBlock(args.query_path, snap.tokenizer, q, snap.data,
-                        &query, &block)) {
+    if (!LoadQueryBlock(args.query_path, snap.tokenizer, SnapshotQ(snap),
+                        snap.data, &query, &block)) {
       return ExitCode(CliExit::kIo);
     }
     result.query_mode = true;
@@ -833,10 +804,7 @@ int RunShard(const CliArgs& args) {
                                      &result.stats);
   }
   const std::string save_err = SaveShardResult(result, args.out_path);
-  if (!save_err.empty()) {
-    std::fprintf(stderr, "%s\n", save_err.c_str());
-    return ExitCode(CliExit::kIo);
-  }
+  if (!save_err.empty()) return Fail(CliExit::kIo, save_err);
   std::printf("# shard %u/%u: %zu pairs in %.3fs -> %s\n", result.shard,
               result.num_shards, result.pairs.size(), timer.ElapsedSeconds(),
               args.out_path.c_str());
@@ -851,10 +819,7 @@ int RunShard(const CliArgs& args) {
 bool ReplayDeltaFile(const std::string& path, DeltaShard* delta) {
   if (path.empty()) return true;
   RawSets raw;
-  if (!LoadRawSets(path, &raw)) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return false;
-  }
+  if (!ReadSets(path, &raw)) return false;
   const std::string err = delta->Ingest(raw);
   if (!err.empty()) {
     std::fprintf(stderr, "%s\n", err.c_str());
@@ -865,57 +830,42 @@ bool ReplayDeltaFile(const std::string& path, DeltaShard* delta) {
   return true;
 }
 
-// query: cross-collection discovery over a prebuilt snapshot, in one
-// process — load every shard (zero-copy mmap by default), tokenize the
-// query payload against the snapshot's dictionary, and stream it through
-// all shard indexes. Output format matches discover/merge, and the
-// build → shard-run --query → merge pipeline produces the byte-identical
-// stream.
-int RunQuery(const CliArgs& args) {
-  if (args.snapshot_path.empty() || args.query_path.empty()) {
-    std::fprintf(stderr, "query needs --snapshot and --input\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  const std::string opt_err = args.opt.Validate();
-  if (!opt_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", opt_err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
-  WallTimer load_timer;
+// query / discover --snapshot: discovery over a prebuilt snapshot in one
+// process. Every shard is loaded (zero-copy mmap by default) and an
+// optional --delta-file replays ingested sets as one extra in-memory shard.
+// `query` tokenizes the --input payload against the snapshot's dictionary
+// and streams it through every shard — the build → shard-run --query →
+// merge pipeline produces the byte-identical stream. `discover --snapshot`
+// self-joins the corpus; its pair stream over (base + delta) equals the
+// stream over the compacted snapshot of the same state.
+int RunSnapshotRead(const CliArgs& args, bool query_mode) {
   Snapshot snap;
-  SnapshotLoadStats load_stats;
-  const SnapshotLoadMode mode =
-      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
-  const std::string load_err =
-      LoadSnapshot(args.snapshot_path, &snap, mode, &load_stats);
-  if (!load_err.empty()) {
-    std::fprintf(stderr, "%s\n", load_err.c_str());
-    return ExitCode(LoadErrorExit(load_err));
-  }
-  std::printf("# load: %" PRIu64 " files, %" PRIu64 " bytes mapped, %" PRIu64
-              " bytes copied in %.3fs\n",
-              load_stats.files, load_stats.bytes_mapped,
-              load_stats.bytes_copied, load_timer.ElapsedSeconds());
-  const std::string compat_err = CheckSnapshotCompatible(snap, args.opt);
-  if (!compat_err.empty()) {
-    std::fprintf(stderr, "%s\n", compat_err.c_str());
-    return ExitCode(CliExit::kIncompatible);
+  if (const int rc = OpenSnapshot(args, &snap, /*check_compat=*/true,
+                                  /*print_load=*/query_mode)) {
+    return rc;
   }
   // Delta replay happens *before* query tokenization, so the payload sees
   // delta-interned token ids — the same dictionary state a compacted
   // snapshot would present.
-  const int q = snap.tokenizer == TokenizerKind::kQGram ? snap.q : 0;
-  DeltaShard delta(&snap.data, snap.tokenizer, q);
+  DeltaShard delta(&snap.data, snap.tokenizer, SnapshotQ(snap));
   if (!ReplayDeltaFile(args.delta_file_path, &delta)) {
     return ExitCode(CliExit::kIo);
   }
   const Collection& corpus =
       delta.delta_sets() > 0 ? delta.combined() : snap.data;
   Collection query;
-  ReferenceBlock block;
-  if (!LoadQueryBlock(args.query_path, snap.tokenizer, q, corpus, &query,
-                      &block)) {
-    return ExitCode(CliExit::kIo);
+  ReferenceBlock block = ReferenceBlock::SelfJoin(corpus);
+  if (query_mode) {
+    if (!LoadQueryBlock(args.query_path, snap.tokenizer, SnapshotQ(snap),
+                        corpus, &query, &block)) {
+      return ExitCode(CliExit::kIo);
+    }
+  } else {
+    std::printf("# snapshot %s: generation %llu, %zu base sets + %zu delta "
+                "sets\n",
+                args.snapshot_path.c_str(),
+                static_cast<unsigned long long>(snap.generation),
+                snap.data.NumSets(), delta.delta_sets());
   }
 
   std::vector<ShardView> views(snap.num_shards());
@@ -926,86 +876,14 @@ int RunQuery(const CliArgs& args) {
   ShardedSearchStats stats;
   stats.Reset(views.size());
   WallTimer timer;
-  std::vector<PairMatch> pairs =
+  const std::vector<PairMatch> pairs =
       DiscoverAcrossShards(block, corpus, views, args.opt, &stats);
-  std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
-              timer.ElapsedSeconds());
-  for (const auto& p : pairs) {
-    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id, p.matching_score,
-                p.relatedness);
-  }
+  PrintDiscovery(pairs, timer);
   if (args.oracle_check) {
     BruteForce oracle(&corpus, args.opt);
-    PrintOracleAgreement(pairs, oracle.Discover(query),
-                         args.opt.exact_scores);
-  }
-  if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
-  return ExitCode(CliExit::kOk);
-}
-
-// discover --snapshot: self-join discovery over a prebuilt snapshot —
-// the sharding comes from the snapshot, and an optional --delta-file
-// replays ingested sets as one extra in-memory shard. This is the read
-// side of the dynamic-corpus byte-identity contract: the pair stream over
-// (base + delta) equals the stream `discover --snapshot` prints over the
-// compacted snapshot of the same state.
-int RunDiscoverSnapshot(const CliArgs& args) {
-  if (args.shards_set) {
-    std::fprintf(stderr, "discover --snapshot takes its partition from the "
-                         "snapshot; drop --shards\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  const std::string opt_err = args.opt.Validate();
-  if (!opt_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", opt_err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
-  Snapshot snap;
-  const SnapshotLoadMode mode =
-      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
-  const std::string load_err = LoadSnapshot(args.snapshot_path, &snap, mode);
-  if (!load_err.empty()) {
-    std::fprintf(stderr, "%s\n", load_err.c_str());
-    return ExitCode(LoadErrorExit(load_err));
-  }
-  const std::string compat_err = CheckSnapshotCompatible(snap, args.opt);
-  if (!compat_err.empty()) {
-    std::fprintf(stderr, "%s\n", compat_err.c_str());
-    return ExitCode(CliExit::kIncompatible);
-  }
-  const int q = snap.tokenizer == TokenizerKind::kQGram ? snap.q : 0;
-  DeltaShard delta(&snap.data, snap.tokenizer, q);
-  if (!ReplayDeltaFile(args.delta_file_path, &delta)) {
-    return ExitCode(CliExit::kIo);
-  }
-  const Collection& corpus =
-      delta.delta_sets() > 0 ? delta.combined() : snap.data;
-  std::printf("# snapshot %s: generation %llu, %zu base sets + %zu delta "
-              "sets\n",
-              args.snapshot_path.c_str(),
-              static_cast<unsigned long long>(snap.generation),
-              snap.data.NumSets(), delta.delta_sets());
-
-  std::vector<ShardView> views(snap.num_shards());
-  for (size_t s = 0; s < snap.num_shards(); ++s) {
-    views[s] = ShardView{snap.shards[s].range, &snap.shards[s].index};
-  }
-  if (delta.delta_sets() > 0) views.push_back(delta.View());
-  ShardedSearchStats stats;
-  stats.Reset(views.size());
-  WallTimer timer;
-  const ReferenceBlock block = ReferenceBlock::SelfJoin(corpus);
-  std::vector<PairMatch> pairs =
-      DiscoverAcrossShards(block, corpus, views, args.opt, &stats);
-  std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
-              timer.ElapsedSeconds());
-  for (const auto& p : pairs) {
-    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id, p.matching_score,
-                p.relatedness);
-  }
-  if (args.oracle_check) {
-    BruteForce oracle(&corpus, args.opt);
-    PrintOracleAgreement(pairs, oracle.DiscoverSelf(), args.opt.exact_scores);
+    PrintOracleAgreement(
+        pairs, query_mode ? oracle.Discover(query) : oracle.DiscoverSelf(),
+        args.opt.exact_scores);
   }
   if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
   return ExitCode(CliExit::kOk);
@@ -1017,35 +895,23 @@ int RunDiscoverSnapshot(const CliArgs& args) {
 // rewritten atomically (replay-then-rewrite keeps it one canonical text
 // file rather than an append log with partial-write hazards). The replay
 // also validates the batch against the snapshot and reports OOV counts.
-int RunIngest(const CliArgs& args) {
+int RunIngest(const CliArgs& args, const char*) {
   if (args.snapshot_path.empty() || args.query_path.empty() ||
       args.delta_out_path.empty()) {
-    std::fprintf(stderr, "ingest needs --snapshot, --input, and "
-                         "--delta-out\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage,
+                "ingest needs --snapshot, --input, and --delta-out");
   }
   Snapshot snap;
-  const SnapshotLoadMode mode =
-      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
-  const std::string load_err = LoadSnapshot(args.snapshot_path, &snap, mode);
-  if (!load_err.empty()) {
-    std::fprintf(stderr, "%s\n", load_err.c_str());
-    return ExitCode(LoadErrorExit(load_err));
-  }
+  if (const int rc = OpenSnapshot(args, &snap, false, false)) return rc;
   RawSets existing;
   if (std::filesystem::exists(args.delta_out_path) &&
-      !LoadRawSets(args.delta_out_path, &existing)) {
-    std::fprintf(stderr, "cannot read %s\n", args.delta_out_path.c_str());
+      !ReadSets(args.delta_out_path, &existing)) {
     return ExitCode(CliExit::kIo);
   }
   RawSets batch;
-  if (!LoadRawSets(args.query_path, &batch)) {
-    std::fprintf(stderr, "cannot read %s\n", args.query_path.c_str());
-    return ExitCode(CliExit::kIo);
-  }
+  if (!ReadSets(args.query_path, &batch)) return ExitCode(CliExit::kIo);
 
-  const int q = snap.tokenizer == TokenizerKind::kQGram ? snap.q : 0;
-  DeltaShard delta(&snap.data, snap.tokenizer, q);
+  DeltaShard delta(&snap.data, snap.tokenizer, SnapshotQ(snap));
   std::string err = delta.Ingest(existing);
   if (err.empty()) {
     const size_t oov_before = delta.oov_tokens();
@@ -1055,21 +921,13 @@ int RunIngest(const CliArgs& args) {
                   delta.oov_tokens() - oov_before);
     }
   }
-  if (!err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
+  if (!err.empty()) return Fail(CliExit::kUsage, err);
 
   RawSets all = std::move(existing);
   all.insert(all.end(), batch.begin(), batch.end());
   std::ostringstream body;
   WriteRawSets(all, body);
-  AtomicFileWriter writer(args.delta_out_path);
-  std::string werr = writer.Open();
-  if (werr.empty()) werr = writer.Write(body.str());
-  if (werr.empty()) werr = writer.Commit();
-  if (!werr.empty()) {
-    std::fprintf(stderr, "%s\n", werr.c_str());
+  if (!WriteFileAtomically(args.delta_out_path, body.str())) {
     return ExitCode(CliExit::kIo);
   }
   std::printf("# delta %s: %zu sets, %zu oov tokens over %s "
@@ -1085,25 +943,16 @@ int RunIngest(const CliArgs& args) {
 // atomically under the compact-write fault site (shard files first, common
 // last, so no readable partial generation can ever exist). Without
 // --delta-file this re-partitions the base alone.
-int RunCompact(const CliArgs& args) {
+int RunCompact(const CliArgs& args, const char*) {
   if (args.snapshot_path.empty() || args.out_path.empty()) {
-    std::fprintf(stderr, "compact needs --snapshot and --out\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage, "compact needs --snapshot and --out");
   }
   if (args.shards_set && args.opt.num_shards < 1) {
-    std::fprintf(stderr, "compact: --shards must be >= 1\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage, "compact: --shards must be >= 1");
   }
   Snapshot snap;
-  const SnapshotLoadMode mode =
-      args.copy_load ? SnapshotLoadMode::kCopy : SnapshotLoadMode::kMmap;
-  const std::string load_err = LoadSnapshot(args.snapshot_path, &snap, mode);
-  if (!load_err.empty()) {
-    std::fprintf(stderr, "%s\n", load_err.c_str());
-    return ExitCode(LoadErrorExit(load_err));
-  }
-  const int q = snap.tokenizer == TokenizerKind::kQGram ? snap.q : 0;
-  DeltaShard delta(&snap.data, snap.tokenizer, q);
+  if (const int rc = OpenSnapshot(args, &snap, false, false)) return rc;
+  DeltaShard delta(&snap.data, snap.tokenizer, SnapshotQ(snap));
   if (!ReplayDeltaFile(args.delta_file_path, &delta)) {
     return ExitCode(CliExit::kIo);
   }
@@ -1118,10 +967,7 @@ int RunCompact(const CliArgs& args) {
   CompactResult res;
   const std::string err =
       CompactSnapshot(snap, delta, args.out_path, co, &res);
-  if (!err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return ExitCode(CliExit::kIo);
-  }
+  if (!err.empty()) return Fail(CliExit::kIo, err);
   std::printf("# compacted %s -> %s %s: generation %llu, %llu sets "
               "(%llu from delta), %u shards in %.3fs\n",
               args.snapshot_path.c_str(),
@@ -1130,30 +976,22 @@ int RunCompact(const CliArgs& args) {
               static_cast<unsigned long long>(res.total_sets),
               static_cast<unsigned long long>(res.delta_sets),
               res.num_shards, timer.ElapsedSeconds());
-  if (args.split) {
-    for (uint32_t s = 0; s < res.num_shards; ++s) {
-      std::printf("# shard file %s\n",
-                  SnapshotShardPath(args.out_path, s).c_str());
-    }
-  }
+  if (args.split) PrintShardFiles(args.out_path, res.num_shards);
   return ExitCode(CliExit::kOk);
 }
 
 // merge: k-way merge shard result streams into the exact discover output.
 // With --allow-partial an incomplete set of results merges anyway, with the
 // coverage stamped ahead of the pairs and exit code kPartialResult.
-int RunMerge(const CliArgs& args) {
+int RunMerge(const CliArgs& args, const char*) {
   if (args.inputs.empty()) {
-    std::fprintf(stderr, "merge needs at least one shard result file\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage,
+                "merge needs at least one shard result file");
   }
   std::vector<ShardResult> results(args.inputs.size());
   for (size_t i = 0; i < args.inputs.size(); ++i) {
     const std::string err = LoadShardResult(args.inputs[i], &results[i]);
-    if (!err.empty()) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return ExitCode(LoadErrorExit(err));
-    }
+    if (!err.empty()) return Fail(LoadErrorExit(err), err);
   }
   std::vector<PairMatch> pairs;
   ShardedSearchStats stats;
@@ -1161,20 +999,8 @@ int RunMerge(const CliArgs& args) {
   const std::string err =
       MergeShardResults(results, &pairs, &stats,
                         MergeOptions{args.allow_partial}, &cov);
-  if (!err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return ExitCode(CliExit::kIncompatible);
-  }
-  std::printf("# merged %zu shard results: %zu pairs\n", results.size(),
-              pairs.size());
-  if (!cov.complete) PrintCoverage(cov);
-  // Exactly the discover output format, so merged out-of-process runs diff
-  // clean against `discover --shards N` (comment lines aside).
-  for (const auto& p : pairs) {
-    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id, p.matching_score,
-                p.relatedness);
-  }
-  if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
+  if (!err.empty()) return Fail(CliExit::kIncompatible, err);
+  PrintMerged(results.size(), pairs, cov, stats, args.stats);
   return ExitCode(cov.complete ? CliExit::kOk : CliExit::kPartialResult);
 }
 
@@ -1182,28 +1008,13 @@ int RunMerge(const CliArgs& args) {
 // payloads over the frame protocol until SIGTERM/SIGINT, a shutdown frame,
 // or (stdio transport) EOF. See src/serve/server.h for the threading model
 // and docs/CLI.md, "serve" for the frame grammar.
-int RunServe(const CliArgs& args) {
-  if (args.snapshot_path.empty()) {
-    std::fprintf(stderr, "serve needs --snapshot\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  if (args.listen_path.empty() == !args.stdio) {
-    std::fprintf(stderr, "serve needs exactly one of --listen SOCK or "
-                         "--stdio\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  const std::string opt_err = args.opt.Validate();
-  if (!opt_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", opt_err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
+int RunServe(const CliArgs& args, const char*) {
   if (args.max_queue <= 0 || args.max_inflight <= 0 || args.max_frame <= 0 ||
       args.request_deadline < 0.0 ||
       (args.bench_workers != -1 && args.bench_workers <= 0)) {
-    std::fprintf(stderr, "serve: --workers/--max-queue/--max-inflight/"
-                         "--max-frame must be positive and "
-                         "--request-deadline non-negative\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage,
+                "serve: --workers/--max-queue/--max-inflight/--max-frame "
+                "must be positive and --request-deadline non-negative");
   }
 
   serve::ServeOptions so;
@@ -1220,10 +1031,7 @@ int RunServe(const CliArgs& args) {
 
   serve::ServeEngine engine(so);
   const std::string err = engine.Start();
-  if (!err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return ExitCode(LoadErrorExit(err));
-  }
+  if (!err.empty()) return Fail(LoadErrorExit(err), err);
   serve::InstallServeSignalHandlers();
   if (args.stdio) {
     // Frames own stdout; every human-readable line goes to stderr.
@@ -1240,19 +1048,18 @@ int RunServe(const CliArgs& args) {
 // --ingest file as an ingest payload — and print the response body. The
 // response frame type maps onto the exit-code contract: result/ingested 0,
 // error 3, overloaded 5, deadline-exceeded 6.
-int RunServeClient(const CliArgs& args) {
+int RunServeClient(const CliArgs& args, const char*) {
 #if SILKMOTH_CLI_HAVE_UNISTD
   if (args.connect_path.empty()) {
-    std::fprintf(stderr, "serve-client needs --connect SOCK\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage, "serve-client needs --connect SOCK");
   }
   const int want = (args.ping ? 1 : 0) + (args.shutdown_frame ? 1 : 0) +
                    (args.query_path.empty() ? 0 : 1) +
                    (args.ingest_path.empty() ? 0 : 1);
   if (want != 1) {
-    std::fprintf(stderr, "serve-client needs exactly one of --ping, "
-                         "--shutdown, --input FILE, or --ingest FILE\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage,
+                "serve-client needs exactly one of --ping, --shutdown, "
+                "--input FILE, or --ingest FILE");
   }
 
   serve::Frame req;
@@ -1263,11 +1070,9 @@ int RunServeClient(const CliArgs& args) {
     req.type = serve::FrameType::kShutdown;
   } else {
     const bool ingest = !args.ingest_path.empty();
-    const std::string& path = ingest ? args.ingest_path : args.query_path;
     req.type = ingest ? serve::FrameType::kIngest : serve::FrameType::kQuery;
     RawSets raw;
-    if (!LoadRawSets(path, &raw)) {
-      std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    if (!ReadSets(ingest ? args.ingest_path : args.query_path, &raw)) {
       return ExitCode(CliExit::kIo);
     }
     std::ostringstream body;
@@ -1279,9 +1084,8 @@ int RunServeClient(const CliArgs& args) {
   std::memset(&addr, 0, sizeof(addr));
   addr.sun_family = AF_UNIX;
   if (args.connect_path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "serve-client: socket path too long: %s\n",
-                 args.connect_path.c_str());
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage,
+                "serve-client: socket path too long: " + args.connect_path);
   }
   std::memcpy(addr.sun_path, args.connect_path.c_str(),
               args.connect_path.size() + 1);
@@ -1323,10 +1127,10 @@ int RunServeClient(const CliArgs& args) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
-      std::fprintf(stderr, "serve-client: connection closed before a "
-                           "response frame arrived\n");
       ::close(fd);
-      return ExitCode(CliExit::kIo);
+      return Fail(CliExit::kIo,
+                  "serve-client: connection closed before a response frame "
+                  "arrived");
     }
     decoder.Feed(buf, static_cast<size_t>(n));
   }
@@ -1339,12 +1143,12 @@ int RunServeClient(const CliArgs& args) {
     case serve::FrameType::kIngested:
       return ExitCode(CliExit::kOk);
     case serve::FrameType::kOverloaded:
-      std::fprintf(stderr, "serve-client: request shed (overloaded)\n");
-      return ExitCode(CliExit::kWorkerFailure);
+      return Fail(CliExit::kWorkerFailure,
+                  "serve-client: request shed (overloaded)");
     case serve::FrameType::kDeadlineExceeded:
-      std::fprintf(stderr, "serve-client: deadline exceeded (partial "
-                           "coverage stamped above)\n");
-      return ExitCode(CliExit::kPartialResult);
+      return Fail(CliExit::kPartialResult,
+                  "serve-client: deadline exceeded (partial coverage "
+                  "stamped above)");
     default:
       std::fprintf(stderr, "serve-client: server error frame (%s)\n",
                    serve::FrameTypeName(resp.type));
@@ -1352,8 +1156,7 @@ int RunServeClient(const CliArgs& args) {
   }
 #else
   (void)args;
-  std::fprintf(stderr, "serve-client needs POSIX sockets\n");
-  return ExitCode(CliExit::kIo);
+  return Fail(CliExit::kIo, "serve-client needs POSIX sockets");
 #endif
 }
 
@@ -1373,20 +1176,11 @@ void RunCancelHandler(int) { g_run_cancel.store(true); }
 // fails with kWorkerFailure naming every shard that exhausted its retries;
 // --allow-partial degrades to a stamped partial merge instead.
 int RunRun(const CliArgs& args, const char* argv0) {
-  if (args.data_path.empty()) {
-    std::fprintf(stderr, "run needs --data\n");
-    return ExitCode(CliExit::kUsage);
-  }
-  const std::string opt_err = args.opt.Validate();
-  if (!opt_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", opt_err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
   if (args.jobs < 0 || args.retries < 0 || args.shard_deadline < 0 ||
       args.backoff_base < 0 || args.backoff_cap < 0) {
-    std::fprintf(stderr, "run: --jobs/--retries/--shard-deadline/"
-                         "--backoff-* must be non-negative\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage,
+                "run: --jobs/--retries/--shard-deadline/--backoff-* must be "
+                "non-negative");
   }
 
   // Work directory: the snapshot, shard results, and per-attempt worker
@@ -1398,42 +1192,26 @@ int RunRun(const CliArgs& args, const char* argv0) {
   if (auto_workdir) {
     std::string dir_err;
     workdir = MakeWorkDir(&dir_err);
-    if (workdir.empty()) {
-      std::fprintf(stderr, "%s\n", dir_err.c_str());
-      return ExitCode(CliExit::kIo);
-    }
+    if (workdir.empty()) return Fail(CliExit::kIo, dir_err);
   } else {
     std::error_code ec;
     std::filesystem::create_directories(workdir, ec);
     if (ec) {
-      std::fprintf(stderr, "cannot create workdir %s: %s\n", workdir.c_str(),
-                   ec.message().c_str());
-      return ExitCode(CliExit::kIo);
+      return Fail(CliExit::kIo,
+                  "cannot create workdir " + workdir + ": " + ec.message());
     }
   }
   std::printf("# workdir %s\n", workdir.c_str());
 
   // Build phase, in-process — the same preparation `build` does.
-  Collection data;
-  TokenizerKind tk;
-  if (!LoadData(args, &data, &tk)) return ExitCode(CliExit::kIo);
-  const int q = tk == TokenizerKind::kQGram ? args.opt.EffectiveQ() : 0;
-  const uint32_t shards =
-      args.opt.num_shards < 1 ? 1 : static_cast<uint32_t>(args.opt.num_shards);
-  WallTimer build_timer;
-  Snapshot snap = BuildSnapshot(std::move(data), tk, q, shards,
-                                args.opt.num_threads);
+  Snapshot snap;
+  double build_seconds = 0.0;
   const std::string snap_path = workdir + "/corpus.snap";
-  const std::string save_err = args.split
-                                   ? SaveSnapshotSplit(snap, snap_path)
-                                   : SaveSnapshot(snap, snap_path);
-  if (!save_err.empty()) {
-    std::fprintf(stderr, "%s\n", save_err.c_str());
-    return ExitCode(CliExit::kIo);
+  if (const int rc = BuildAndSave(args, snap_path, &snap, &build_seconds)) {
+    return rc;
   }
   std::printf("# built snapshot: %zu sets, %zu shards in %.3fs\n",
-              snap.data.NumSets(), snap.num_shards(),
-              build_timer.ElapsedSeconds());
+              snap.data.NumSets(), snap.num_shards(), build_seconds);
 
   OrchestratorOptions oo;
   oo.worker_binary = SelfBinaryPath(argv0);
@@ -1465,10 +1243,7 @@ int RunRun(const CliArgs& args, const char* argv0) {
   RunReport report;
   std::vector<ShardResult> results;
   const std::string sup_err = RunSupervised(oo, &report, &results);
-  if (!sup_err.empty()) {
-    std::fprintf(stderr, "%s\n", sup_err.c_str());
-    return ExitCode(CliExit::kIo);
-  }
+  if (!sup_err.empty()) return Fail(CliExit::kIo, sup_err);
 
 #if SILKMOTH_CLI_HAVE_UNISTD
   if (g_run_cancel.load()) {
@@ -1498,11 +1273,9 @@ int RunRun(const CliArgs& args, const char* argv0) {
   auto emit_report = [&](const ShardedSearchStats* stats, size_t num_pairs,
                          bool partial) -> bool {
     if (args.report_path.empty()) return true;
-    const std::string werr = WriteRunReport(
-        args.report_path,
-        BuildRunReportJson(report, stats, num_pairs, partial));
-    if (!werr.empty()) {
-      std::fprintf(stderr, "%s\n", werr.c_str());
+    if (!WriteFileAtomically(
+            args.report_path,
+            BuildRunReportJson(report, stats, num_pairs, partial) + "\n")) {
       return false;
     }
     std::printf("# run report -> %s\n", args.report_path.c_str());
@@ -1544,16 +1317,9 @@ int RunRun(const CliArgs& args, const char* argv0) {
               "in %.3fs\n",
               report.num_shards, report.attempts_total, report.retries,
               report.timeouts, report.wall_seconds);
-  std::printf("# merged %zu shard results: %zu pairs\n", results.size(),
-              pairs.size());
-  if (!cov.complete) PrintCoverage(cov);
-  // The discover output format, byte-identical to `discover --shards N`
-  // when every shard arrived (the cross-process parity contract).
-  for (const auto& p : pairs) {
-    std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id, p.matching_score,
-                p.relatedness);
-  }
-  if (args.stats) std::fputs(stats.ToString().c_str(), stdout);
+  // Byte-identical to `discover --shards N` when every shard arrived (the
+  // cross-process parity contract).
+  PrintMerged(results.size(), pairs, cov, stats, args.stats);
 
   if (auto_workdir && !args.keep_workdir && report.ok) {
     std::error_code ec;
@@ -1569,7 +1335,7 @@ int RunRun(const CliArgs& args, const char* argv0) {
 // (--requests/--batch/--workers/--duration/--seed/--shards) rewrite the
 // spec before the run, and the report records the rewritten spec — a
 // BENCH file always describes exactly what ran.
-int RunBench(const CliArgs& args) {
+int RunBench(const CliArgs& args, const char*) {
   using bench::WorkloadSpec;
   if (args.list_workloads) {
     std::printf("%-26s %s\n", "name", "scenario");
@@ -1579,14 +1345,12 @@ int RunBench(const CliArgs& args) {
     return ExitCode(CliExit::kOk);
   }
   if (args.workload.empty()) {
-    std::fprintf(stderr, "bench needs --workload NAME (or --list)\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage, "bench needs --workload NAME (or --list)");
   }
   const WorkloadSpec* found = bench::FindWorkload(args.workload);
   if (found == nullptr) {
-    std::fprintf(stderr, "unknown workload: %s (try `bench --list`)\n",
-                 args.workload.c_str());
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage, "unknown workload: " + args.workload +
+                                     " (try `bench --list`)");
   }
 
   WorkloadSpec spec = *found;
@@ -1598,10 +1362,9 @@ int RunBench(const CliArgs& args) {
       (args.bench_seed != -1 && args.bench_seed <= 0) ||
       (args.bench_duration != -1.0 && args.bench_duration <= 0.0);
   if (bad_override) {
-    std::fprintf(stderr,
-                 "bench: --requests/--batch/--workers/--duration/--seed "
-                 "must be positive\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage,
+                "bench: --requests/--batch/--workers/--duration/--seed must "
+                "be positive");
   }
   if (args.bench_requests > 0) {
     spec.requests = static_cast<size_t>(args.bench_requests);
@@ -1618,10 +1381,7 @@ int RunBench(const CliArgs& args) {
 
   bench::BenchResult result;
   const std::string err = bench::RunWorkload(spec, &result);
-  if (!err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
+  if (!err.empty()) return Fail(CliExit::kUsage, err);
 
   std::printf("# workload %s: %s\n", spec.name.c_str(),
               spec.scenario.c_str());
@@ -1638,12 +1398,8 @@ int RunBench(const CliArgs& args) {
   if (args.stats) std::fputs(result.funnel.ToString().c_str(), stdout);
 
   if (!args.json_path.empty()) {
-    AtomicFileWriter writer(args.json_path);
-    std::string werr = writer.Open();
-    if (werr.empty()) werr = writer.Write(bench::BenchResultToJson(result));
-    if (werr.empty()) werr = writer.Commit();
-    if (!werr.empty()) {
-      std::fprintf(stderr, "%s\n", werr.c_str());
+    if (!WriteFileAtomically(args.json_path,
+                             bench::BenchResultToJson(result))) {
       return ExitCode(CliExit::kIo);
     }
     std::printf("# bench report -> %s\n", args.json_path.c_str());
@@ -1651,73 +1407,24 @@ int RunBench(const CliArgs& args) {
   return ExitCode(CliExit::kOk);
 }
 
-/// The real main, wrapped so FinishStdout can audit stdout afterwards.
-int RunMain(int argc, char** argv) {
-  if (argc < 2) return Usage(argv[0]);
-  const std::string mode = argv[1];
-  if (mode == "generate") return Generate(argc, argv);
-  const bool known = mode == "discover" || mode == "search" ||
-                     mode == "query" || mode == "build" ||
-                     mode == "ingest" || mode == "compact" ||
-                     mode == "shard-run" || mode == "merge" ||
-                     mode == "run" || mode == "serve" ||
-                     mode == "serve-client" || mode == "bench";
-  if (!known) {
-    std::fprintf(stderr, "unknown subcommand: %s\n", mode.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
-
-  CliArgs args;
-  if (!ParseArgs(argc, argv, 2, &args)) return Usage(argv[0]);
-  // Only merge takes positional arguments (its result files); anywhere else
-  // a stray word is a mistake (a forgotten flag, a second data file) that
-  // must not be silently ignored.
-  if (mode != "merge" && !args.inputs.empty()) {
-    std::fprintf(stderr, "unexpected argument: %s\n",
-                 args.inputs.front().c_str());
-    return ExitCode(CliExit::kUsage);
-  }
-
-  if (mode == "build") return RunBuild(args);
-  if (mode == "ingest") return RunIngest(args);
-  if (mode == "compact") return RunCompact(args);
-  if (mode == "shard-run") return RunShard(args);
-  if (mode == "query") return RunQuery(args);
-  if (mode == "merge") return RunMerge(args);
-  if (mode == "discover" && !args.snapshot_path.empty()) {
-    return RunDiscoverSnapshot(args);
-  }
-  if (mode == "run") return RunRun(args, argv[0]);
-  if (mode == "serve") return RunServe(args);
-  if (mode == "serve-client") return RunServeClient(args);
-  if (mode == "bench") return RunBench(args);
-
-  if (args.data_path.empty() ||
-      (mode == "search" && args.query_path.empty())) {
-    return Usage(argv[0]);
-  }
-  const std::string err = args.opt.Validate();
-  if (!err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
-  if (args.top_k > 0 && mode != "search") {
-    std::fprintf(stderr, "--top-k only applies to search\n");
-    return ExitCode(CliExit::kUsage);
+// discover / search over --data in one process: the SilkMoth engine over
+// --shards in-memory shard indexes. `search` streams each --query set as
+// one RELATED SET SEARCH (the K best with --top-k).
+int RunInProcess(const CliArgs& args, bool search) {
+  if (args.top_k > 0 && !search) {
+    return Fail(CliExit::kUsage, "--top-k only applies to search");
   }
   if (args.top_k > 0 && args.opt.num_shards >= 2) {
-    std::fprintf(stderr, "--top-k serving is single-index; drop --shards\n");
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage,
+                "--top-k serving is single-index; drop --shards");
   }
-
   Collection data;
   TokenizerKind tk;
   if (!LoadData(args, &data, &tk)) return ExitCode(CliExit::kIo);
 
   const SilkMoth engine(&data, args.opt);
   if (!engine.ok()) {
-    std::fprintf(stderr, "invalid options: %s\n", engine.error().c_str());
-    return ExitCode(CliExit::kUsage);
+    return Fail(CliExit::kUsage, "invalid options: " + engine.error());
   }
   const bool sharded = engine.num_shards() >= 2;
   if (sharded) {
@@ -1726,14 +1433,9 @@ int RunMain(int argc, char** argv) {
 
   WallTimer timer;
   ShardedSearchStats stats;
-  if (mode == "discover") {
-    auto pairs = engine.DiscoverSelf(&stats);
-    std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
-                timer.ElapsedSeconds());
-    for (const auto& p : pairs) {
-      std::printf("%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id,
-                  p.matching_score, p.relatedness);
-    }
+  if (!search) {
+    const std::vector<PairMatch> pairs = engine.DiscoverSelf(&stats);
+    PrintDiscovery(pairs, timer);
     if (args.oracle_check) {
       BruteForce oracle(&data, args.opt);
       PrintOracleAgreement(pairs, oracle.DiscoverSelf(),
@@ -1742,8 +1444,7 @@ int RunMain(int argc, char** argv) {
   } else {
     RawSets query_raw;
     if (!LoadRawSets(args.query_path, &query_raw) || query_raw.empty()) {
-      std::fprintf(stderr, "cannot read %s\n", args.query_path.c_str());
-      return ExitCode(CliExit::kIo);
+      return Fail(CliExit::kIo, "cannot read " + args.query_path);
     }
     for (size_t qi = 0; qi < query_raw.size(); ++qi) {
       SetRecord ref =
@@ -1767,6 +1468,120 @@ int RunMain(int argc, char** argv) {
                stdout);
   }
   return ExitCode(CliExit::kOk);
+}
+
+/// A subcommand handler: 0 to go on (for `needs`) or an exit code.
+using Handler = int (*)(const CliArgs& args, const char* argv0);
+
+/// One subcommand. `needs` (optional) checks the required inputs first, so
+/// a missing input is reported ahead of bad query options; then, for
+/// `validate` rows, Options::Validate() gates the query options; then `run`.
+struct Subcommand {
+  const char* name;
+  bool validate;
+  Handler needs;
+  Handler run;
+};
+
+const Subcommand kSubcommands[] = {
+    {"discover", true,
+     [](const CliArgs& a, const char* argv0) {
+       if (a.snapshot_path.empty()) {
+         return a.data_path.empty() ? Usage(argv0) : 0;
+       }
+       return a.shards_set ? Fail(CliExit::kUsage,
+                                  "discover --snapshot takes its partition "
+                                  "from the snapshot; drop --shards")
+                           : 0;
+     },
+     [](const CliArgs& a, const char*) {
+       return a.snapshot_path.empty() ? RunInProcess(a, false)
+                                      : RunSnapshotRead(a, false);
+     }},
+    {"search", true,
+     [](const CliArgs& a, const char* argv0) {
+       return a.data_path.empty() || a.query_path.empty() ? Usage(argv0) : 0;
+     },
+     [](const CliArgs& a, const char*) { return RunInProcess(a, true); }},
+    {"query", true,
+     [](const CliArgs& a, const char*) {
+       return a.snapshot_path.empty() || a.query_path.empty()
+                  ? Fail(CliExit::kUsage, "query needs --snapshot and --input")
+                  : 0;
+     },
+     [](const CliArgs& a, const char*) { return RunSnapshotRead(a, true); }},
+    {"build", true,
+     [](const CliArgs& a, const char*) {
+       return a.data_path.empty() || a.out_path.empty()
+                  ? Fail(CliExit::kUsage, "build needs --data and --out")
+                  : 0;
+     },
+     RunBuild},
+    {"ingest", false, nullptr, RunIngest},
+    {"compact", false, nullptr, RunCompact},
+    {"shard-run", true,
+     [](const CliArgs& a, const char*) {
+       if (a.snapshot_path.empty()) {
+         return Fail(CliExit::kUsage, "shard-run needs --snapshot");
+       }
+       if (a.shard < 0) {
+         return Fail(CliExit::kUsage, "shard-run needs --shard K (0-based)");
+       }
+       return a.out_path.empty()
+                  ? Fail(CliExit::kUsage, "shard-run needs --out")
+                  : 0;
+     },
+     RunShard},
+    {"merge", false, nullptr, RunMerge},
+    {"run", true,
+     [](const CliArgs& a, const char*) {
+       return a.data_path.empty() ? Fail(CliExit::kUsage, "run needs --data")
+                                  : 0;
+     },
+     RunRun},
+    {"serve", true,
+     [](const CliArgs& a, const char*) {
+       if (a.snapshot_path.empty()) {
+         return Fail(CliExit::kUsage, "serve needs --snapshot");
+       }
+       return a.listen_path.empty() == !a.stdio
+                  ? Fail(CliExit::kUsage,
+                         "serve needs exactly one of --listen SOCK or --stdio")
+                  : 0;
+     },
+     RunServe},
+    {"serve-client", false, nullptr, RunServeClient},
+    {"bench", false, nullptr, RunBench},
+};
+
+/// The real main, wrapped so FinishStdout can audit stdout afterwards.
+int RunMain(int argc, char** argv) {
+  if (argc < 2) return Usage(argv[0]);
+  const std::string mode = argv[1];
+  if (mode == "generate") return Generate(argc, argv);
+  const auto* cmd =
+      std::find_if(std::begin(kSubcommands), std::end(kSubcommands),
+                   [&](const Subcommand& c) { return mode == c.name; });
+  if (cmd == std::end(kSubcommands)) {
+    return Fail(CliExit::kUsage, "unknown subcommand: " + mode);
+  }
+
+  CliArgs args;
+  if (!ParseArgs(argc, argv, 2, &args)) return Usage(argv[0]);
+  // Only merge takes positional arguments (its result files); anywhere else
+  // a stray word is a mistake (a forgotten flag, a second data file) that
+  // must not be silently ignored.
+  if (mode != "merge" && !args.inputs.empty()) {
+    return Fail(CliExit::kUsage, "unexpected argument: " + args.inputs.front());
+  }
+  if (cmd->needs != nullptr) {
+    if (const int rc = cmd->needs(args, argv[0])) return rc;
+  }
+  if (cmd->validate) {
+    const std::string err = args.opt.Validate();
+    if (!err.empty()) return Fail(CliExit::kUsage, "invalid options: " + err);
+  }
+  return cmd->run(args, argv[0]);
 }
 
 /// Settles stdout after RunMain: flush, and turn a write failure — EPIPE
