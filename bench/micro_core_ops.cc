@@ -202,6 +202,36 @@ BENCHMARK(BM_VerifyDecisionBounded)
     ->Args({30, 1})   // Decision + exact score on accepts (search-pass mode).
     ->Args({100, 1});
 
+// Decisions on columns-shaped pairs (14-30 cells, containment at δ = 0.05)
+// that share few tokens, the case the top-k column search verifies most:
+// the verifier scores φ only on pairs sharing a token, so `phi_per_cell`
+// (φ calls over |R|×|S| cells) shows how sparse the graph was.
+void BM_VerifyDecisionSparse(benchmark::State& state) {
+  Collection data = ColumnData(64, 14, 30);
+  Options opt = DecisionOptions();
+  opt.delta = 0.05;
+  MaxMatchingVerifier verifier(GetSimilarity(opt.phi), 0.0, true);
+  size_t calls = 0;
+  size_t cells = 0;
+  for (auto _ : state) {
+    for (uint32_t r = 0; r + 1 < data.sets.size(); ++r) {
+      const SetRecord& a = data.sets[r];
+      const SetRecord& b = data.sets[r + 1];
+      const double theta = RelatedScoreThreshold(a.Size(), b.Size(), opt);
+      const double margin =
+          kFloatSlack * (static_cast<double>(a.Size() + b.Size()) + 2.0);
+      MatchingStats stats;
+      benchmark::DoNotOptimize(
+          verifier.ScoreDecision(a, b, theta, &stats, margin, true));
+      calls += stats.similarity_calls;
+      cells += stats.matrix_rows * stats.matrix_cols;
+    }
+  }
+  state.counters["phi_per_cell"] =
+      cells == 0 ? 0.0 : static_cast<double>(calls) / static_cast<double>(cells);
+}
+BENCHMARK(BM_VerifyDecisionSparse);
+
 // --- Candidate selection on the reusable query scratch ---------------------
 
 void BM_SelectAndCheck(benchmark::State& state) {

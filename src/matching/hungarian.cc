@@ -17,12 +17,14 @@ std::vector<int> SolveMinCost(size_t n, size_t m,
   std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
   std::vector<int> p(m + 1, 0);    // p[j]: row matched to column j.
   std::vector<int> way(m + 1, 0);  // Back-pointers along the alternating path.
+  std::vector<double> minv(m + 1);  // Reset per row.
+  std::vector<char> used(m + 1);    // Reset per row.
 
   for (size_t i = 1; i <= n; ++i) {
     p[0] = static_cast<int>(i);
     size_t j0 = 0;
-    std::vector<double> minv(m + 1, kInf);
-    std::vector<char> used(m + 1, 0);
+    std::fill(minv.begin(), minv.end(), kInf);
+    std::fill(used.begin(), used.end(), 0);
     do {
       used[j0] = 1;
       const size_t i0 = static_cast<size_t>(p[j0]);

@@ -12,10 +12,12 @@ namespace silkmoth {
 
 /// Counters describing one maximum-matching evaluation.
 struct MatchingStats {
-  size_t matrix_rows = 0;       ///< Rows fed to the Hungarian solver.
-  size_t matrix_cols = 0;       ///< Columns fed to the Hungarian solver.
+  size_t matrix_rows = 0;       ///< Rows of the φ matrix after reduction.
+  size_t matrix_cols = 0;       ///< Columns of the φ matrix after reduction.
   size_t reduced_pairs = 0;     ///< Identical pairs removed by reduction.
-  size_t similarity_calls = 0;  ///< φ evaluations performed.
+  size_t similarity_calls = 0;  ///< φ evaluations performed (ScoreDecision:
+                                ///< only pairs sharing a token for Jaccard,
+                                ///< every pair for edit similarity).
   size_t bound_accepts = 0;     ///< Decisions settled by the greedy lower bound.
   size_t bound_rejects = 0;     ///< Decisions settled by the maxima upper bound.
   size_t tier2_accepts = 0;     ///< Accepts settled by the local-max tier-2
@@ -53,7 +55,18 @@ struct AlignedPair {
 /// distance, Eds dual), identical elements of R and S are paired greedily
 /// before the O(n^3) matching runs on the reduced sets (Section 5.3). The
 /// result is exactly the same score; reduction is a pure optimization, and it
-/// is silently skipped whenever its preconditions do not hold.
+/// is silently skipped whenever its preconditions do not hold. Identical
+/// elements are found through sorted 64-bit fingerprints of their identity
+/// (token ids for Jaccard, text for edit similarity), each hit confirmed by
+/// comparing the identities.
+///
+/// ScoreDecision works on the φ_α graph as edge lists rather than a dense
+/// matrix: for Jaccard only pairs that share a token can score above zero,
+/// so only those are scored; for edit similarity every pair is. The bounds
+/// run on the edges, and a dense matrix is scattered from them only for the
+/// tier-2 bound and the Hungarian solver. Its buffers live in a
+/// thread-local scratch, so a verification allocates nothing until then.
+/// Score(), ScoreWithAlignment() and the solver stay dense.
 class MaxMatchingVerifier {
  public:
   /// `sim` is the resolved element similarity φ (must outlive the
@@ -70,13 +83,18 @@ class MaxMatchingVerifier {
   /// Bound-guided threshold test (Section 5.3 refinement): is the maximum
   /// matching score at least `theta`?
   ///
-  /// Builds the weight matrix once, then sandwiches the optimum between
-  /// cheap matching lower bounds and the min of the row-maxima and
-  /// column-maxima sums. Tier 1 is a greedy matching (rows in descending
-  /// row-max order take their heaviest free column); when it fails to settle
-  /// an accept, tier 2 runs the near-linear local-max matching (Birn et al.,
-  /// arXiv:1302.4587, a guaranteed 1/2-approximation) and the lower bound
-  /// becomes the max of the two — the bounds are incomparable in general.
+  /// Builds the positive φ_α edges once (per row, columns ascending), then
+  /// sandwiches the optimum between cheap matching lower bounds and the min
+  /// of the row-maxima and column-maxima sums, all computed on the edges.
+  /// Tier 1 is a greedy matching (rows in descending row-max order take
+  /// their heaviest free column); when it fails to settle an accept, tier 2
+  /// runs the near-linear local-max matching (Birn et al., arXiv:1302.4587,
+  /// a guaranteed 1/2-approximation) and the lower bound becomes the max of
+  /// the two — the bounds are incomparable in general. Tier 2 and every
+  /// Hungarian solve read a dense matrix scattered from the edges, built
+  /// only when one of them runs. A zero cell never wins the greedy's strict
+  /// `>` and adds +0.0 to no sum, so every bound, decision and score is
+  /// bit-identical to a dense all-pairs evaluation.
   /// The bounds settle the decision outside `(theta - margin, theta +
   /// margin)`; the exact O(n³) Hungarian solver runs only in that ambiguous
   /// band (counted in `exact_solves`), deciding `score >= theta -
@@ -102,7 +120,7 @@ class MaxMatchingVerifier {
   /// `score` is exact (bit-compatible with Score()) when `exact` is set:
   /// always after an ambiguous-band solve, and on bound-accepts when
   /// `need_exact_score` is true — that mode runs the solver on the
-  /// already-built matrix purely to report the score (the *decision* is
+  /// edges' dense matrix purely to report the score (the *decision* is
   /// still the bound's; it is counted in `reporting_solves`, not
   /// `exact_solves`). Rejects report the upper bound and never solve.
   VerifyDecision ScoreDecision(const SetRecord& r, const SetRecord& s,

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <type_traits>
 
 #include "core/sharded_engine.h"
@@ -634,10 +635,11 @@ std::string ValidatePostings(const std::string& path, uint32_t shard_id,
   return "";
 }
 
-/// Shared load driver. `only_shard` < 0 loads every shard; otherwise only
-/// that shard's index is built (and, for split snapshots, only that shard's
-/// file is opened). *out is only touched on full success.
-std::string LoadImpl(const std::string& path, long only_shard, Snapshot* out,
+/// Shared load driver. An empty `only_shard` loads every shard; otherwise
+/// only that shard's index is built (and, for split snapshots, only that
+/// shard's file is opened). *out is only touched on full success.
+std::string LoadImpl(const std::string& path,
+                     std::optional<uint64_t> only_shard, Snapshot* out,
                      SnapshotLoadMode mode, SnapshotLoadStats* stats_out) {
   const bool deep_copy = mode == SnapshotLoadMode::kCopy;
   SnapshotLoadStats stats;
@@ -661,9 +663,8 @@ std::string LoadImpl(const std::string& path, long only_shard, Snapshot* out,
   snap.tokenizer = static_cast<TokenizerKind>(meta.tokenizer);
   snap.q = static_cast<int>(meta.q);
   snap.generation = meta.generation;
-  if (only_shard >= 0 &&
-      static_cast<uint64_t>(only_shard) >= meta.num_shards) {
-    return path + ": shard id " + std::to_string(only_shard) +
+  if (only_shard && *only_shard >= meta.num_shards) {
+    return path + ": shard id " + std::to_string(*only_shard) +
            " out of range: snapshot has " + std::to_string(meta.num_shards) +
            " shards";
   }
@@ -693,8 +694,7 @@ std::string LoadImpl(const std::string& path, long only_shard, Snapshot* out,
     // structurally validated (the bytes are in hand anyway) but as views —
     // never deep-copied — and their index is dropped.
     for (uint32_t s = 0; s < meta.num_shards; ++s) {
-      const bool wanted =
-          only_shard < 0 || static_cast<uint32_t>(only_shard) == s;
+      const bool wanted = !only_shard || *only_shard == s;
       InvertedIndex index;
       const std::string err = ParseShrdSection(&payload, path, s, ranges[s],
                                                deep_copy && wanted, &index);
@@ -712,7 +712,7 @@ std::string LoadImpl(const std::string& path, long only_shard, Snapshot* out,
       return path + ": trailing bytes after last section";
     }
     for (uint32_t s = 0; s < meta.num_shards; ++s) {
-      if (only_shard >= 0 && static_cast<uint32_t>(only_shard) != s) {
+      if (only_shard && *only_shard != s) {
         continue;  // The point of the split: other shards stay untouched.
       }
       const std::string shard_path = SnapshotShardPath(path, s);
@@ -905,13 +905,13 @@ std::string SaveSnapshotSplit(const Snapshot& snap, const std::string& path,
 
 std::string LoadSnapshot(const std::string& path, Snapshot* out,
                          SnapshotLoadMode mode, SnapshotLoadStats* stats) {
-  return LoadImpl(path, /*only_shard=*/-1, out, mode, stats);
+  return LoadImpl(path, /*only_shard=*/std::nullopt, out, mode, stats);
 }
 
-std::string LoadSnapshotShard(const std::string& path, uint32_t shard,
+std::string LoadSnapshotShard(const std::string& path, uint64_t shard,
                               Snapshot* out, SnapshotLoadMode mode,
                               SnapshotLoadStats* stats) {
-  return LoadImpl(path, static_cast<long>(shard), out, mode, stats);
+  return LoadImpl(path, shard, out, mode, stats);
 }
 
 }  // namespace silkmoth

@@ -201,8 +201,9 @@ std::string LoadSnapshot(const std::string& path, Snapshot* out,
 /// opens exactly two files — common + that shard — so the bytes touched
 /// scale with the shard, not the corpus; on a monolithic file the whole
 /// container is read but only the one shard's index is built. Same error
-/// contract as LoadSnapshot.
-std::string LoadSnapshotShard(const std::string& path, uint32_t shard,
+/// contract as LoadSnapshot; a `shard` past the snapshot's shard count
+/// (however large) is reported as out of range.
+std::string LoadSnapshotShard(const std::string& path, uint64_t shard,
                               Snapshot* out,
                               SnapshotLoadMode mode = SnapshotLoadMode::kMmap,
                               SnapshotLoadStats* stats = nullptr);

@@ -131,14 +131,4 @@ const ElementSimilarity* GetSimilarity(SimilarityKind kind) {
   return &jaccard;
 }
 
-std::string IdentityKey(const Element& e, SimilarityKind kind) {
-  if (IsEditSimilarity(kind)) return std::string(e.text);
-  std::string key;
-  key.reserve(e.tokens.size() * 5);
-  for (TokenId t : e.tokens) {
-    key.append(reinterpret_cast<const char*>(&t), sizeof(t));
-  }
-  return key;
-}
-
 }  // namespace silkmoth

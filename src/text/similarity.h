@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 
 #include "text/dataset.h"
@@ -69,10 +68,6 @@ double EdsOfStrings(std::string_view a, std::string_view b);
 
 /// NEds(a, b) = 1 - LD / max(|a|, |b|) from the raw strings.
 double NedsOfStrings(std::string_view a, std::string_view b);
-
-/// Key identifying elements that are "identical" for the reduction-based
-/// verification: text for edit similarities, token set for Jaccard.
-std::string IdentityKey(const Element& e, SimilarityKind kind);
 
 }  // namespace silkmoth
 

@@ -44,6 +44,9 @@ expect_error "shard-run missing snapshot file" 1 "cannot open" -- \
   shard-run --snapshot "$TMP/nonexistent.snap" --shard 0 --out "$TMP/r.txt"
 expect_error "shard-run shard out of range" 2 "out of range" -- \
   shard-run --snapshot "$TMP/corpus.snap" --shard 7 --out "$TMP/r.txt"
+expect_error "shard-run shard above 2^32-1" 2 \
+  "shard id 4294967296 out of range" -- \
+  shard-run --snapshot "$TMP/corpus.snap" --shard 4294967296 --out "$TMP/r.txt"
 expect_error "shard-run negative shard" 2 "shard-run needs --shard" -- \
   shard-run --snapshot "$TMP/corpus.snap" --shard -3 --out "$TMP/r.txt"
 expect_error "shard-run non-numeric shard" 2 "invalid --shard value: tow" -- \

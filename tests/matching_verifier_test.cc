@@ -73,6 +73,31 @@ TEST(VerifierTest, ReductionHandlesDuplicateElements) {
   EXPECT_NEAR(a, b, 1e-12);
 }
 
+// The reduction's notion of "identical": the token set for Jaccard (word
+// order and repeats do not matter), the raw text for edit similarity.
+TEST(VerifierTest, ReductionIdentityIsTokenSetForJaccard) {
+  RawSets raw = {{"a b", "a c"}};
+  Collection data = BuildCollection(raw, TokenizerKind::kWord);
+  SetRecord r = BuildReference({"b a a"}, TokenizerKind::kWord, 0, &data);
+  MaxMatchingVerifier v(GetSimilarity(SimilarityKind::kJaccard), 0.0, true);
+  MatchingStats stats;
+  EXPECT_DOUBLE_EQ(v.Score(r, data.sets[0], &stats), 1.0);
+  EXPECT_EQ(stats.reduced_pairs, 1u);
+}
+
+TEST(VerifierTest, ReductionIdentityIsTextForEds) {
+  RawSets raw = {{"a b"}};
+  Collection data = BuildCollection(raw, TokenizerKind::kQGram, 2);
+  SetRecord r = BuildReference({"b a"}, TokenizerKind::kQGram, 2, &data);
+  MaxMatchingVerifier v(GetSimilarity(SimilarityKind::kEds), 0.0, true);
+  MatchingStats stats;
+  v.Score(r, data.sets[0], &stats);
+  EXPECT_EQ(stats.reduced_pairs, 0u);
+  SetRecord same = BuildReference({"a b"}, TokenizerKind::kQGram, 2, &data);
+  EXPECT_DOUBLE_EQ(v.Score(same, data.sets[0], &stats), 1.0);
+  EXPECT_EQ(stats.reduced_pairs, 1u);
+}
+
 TEST(VerifierTest, ReductionInactiveWithAlpha) {
   MaxMatchingVerifier v(GetSimilarity(SimilarityKind::kJaccard), 0.5, true);
   EXPECT_FALSE(v.ReductionActive());

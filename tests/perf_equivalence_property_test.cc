@@ -16,9 +16,19 @@
 // All three properties are swept across the three workload shapes: the
 // SET-SIMILARITY and SET-CONTAINMENT metrics over word tokens (Jaccard), and
 // edit similarity (Eds over q-grams).
+//
+//  4. The sparse verifier (edge lists from shared tokens, fingerprint
+//     reduction) returns exactly — `==`, not within slack — the decision,
+//     bounds, score and counters of the dense verifier it replaced, kept
+//     here as a reference, and scores φ only on the pairs it must.
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <set>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,9 +40,12 @@
 #include "datagen/dblp.h"
 #include "filter/check_filter.h"
 #include "filter/nn_filter.h"
+#include "matching/hungarian.h"
+#include "matching/local_max.h"
 #include "matching/verifier.h"
 #include "sig/scheme.h"
 #include "text/similarity.h"
+#include "util/rng.h"
 
 namespace silkmoth {
 namespace {
@@ -372,6 +385,467 @@ TEST_P(PerfEquivalenceSweep, FullSearchPassMatchesReferencePipeline) {
   }
   // The duplicate-heavy corpus must produce real matches to compare.
   EXPECT_GT(accepted, 0u) << cfg.name;
+}
+
+// ---------------------------------------------------------------------------
+// Sparse verifier vs the dense verifier it replaced.
+
+// The reduction's identity key exactly as the dense verifier built it: the
+// text for edit similarities, the raw token-id bytes for Jaccard.
+std::string ReferenceIdentityKey(const Element& e, SimilarityKind kind) {
+  if (IsEditSimilarity(kind)) return std::string(e.text);
+  std::string key;
+  for (TokenId t : e.tokens) {
+    key.append(reinterpret_cast<const char*>(&t), sizeof(t));
+  }
+  return key;
+}
+
+// The dense verifier's string-map reduction: R elements pair with S
+// elements of the same key while S has unpaired copies left, and S drops
+// the first k occurrences of each key R paired k times.
+size_t ReferenceSelect(const SetRecord& r, const SetRecord& s,
+                       SimilarityKind kind, bool reduction,
+                       std::vector<const Element*>* r_elems,
+                       std::vector<const Element*>* s_elems) {
+  r_elems->clear();
+  s_elems->clear();
+  if (!reduction) {
+    for (const Element& e : r.elements) r_elems->push_back(&e);
+    for (const Element& e : s.elements) s_elems->push_back(&e);
+    return 0;
+  }
+  size_t reduced = 0;
+  std::unordered_map<std::string, int> s_counts;
+  for (const Element& e : s.elements) {
+    s_counts[ReferenceIdentityKey(e, kind)] += 1;
+  }
+  std::unordered_map<std::string, int> consumed;
+  for (const Element& e : r.elements) {
+    const std::string key = ReferenceIdentityKey(e, kind);
+    auto it = s_counts.find(key);
+    const int available = it == s_counts.end() ? 0 : it->second;
+    int& used = consumed[key];
+    if (used < available) {
+      ++used;
+      ++reduced;
+    } else {
+      r_elems->push_back(&e);
+    }
+  }
+  std::unordered_map<std::string, int> to_skip = consumed;
+  for (const Element& e : s.elements) {
+    auto it = to_skip.find(ReferenceIdentityKey(e, kind));
+    if (it != to_skip.end() && it->second > 0) {
+      --it->second;
+    } else {
+      s_elems->push_back(&e);
+    }
+  }
+  return reduced;
+}
+
+// MaxMatchingVerifier::ScoreDecision as it was before the edge lists: one
+// dense |R|×|S| φ_α fill, bounds and greedy over the full matrix.
+VerifyDecision ReferenceScoreDecision(const ElementSimilarity* sim,
+                                      double alpha, bool use_reduction,
+                                      const SetRecord& r, const SetRecord& s,
+                                      double theta, MatchingStats* stats,
+                                      double margin, bool need_exact_score,
+                                      double floor_theta) {
+  const bool reduction =
+      use_reduction && alpha <= kFloatSlack && sim->HasMetricDual();
+  margin = std::max(margin, kFloatSlack);
+  std::vector<const Element*> r_elems;
+  std::vector<const Element*> s_elems;
+  const size_t reduced =
+      ReferenceSelect(r, s, sim->kind(), reduction, &r_elems, &s_elems);
+  stats->reduced_pairs = reduced;
+  const double base = static_cast<double>(reduced);
+
+  VerifyDecision d;
+  if (r_elems.empty() || s_elems.empty()) {
+    d.lower = d.upper = d.score = base;
+    d.exact = true;
+    d.related = d.score >= theta - kFloatSlack;
+    if (d.related) ++stats->bound_accepts;
+    else ++stats->bound_rejects;
+    return d;
+  }
+
+  const size_t rows = r_elems.size();
+  const size_t cols = s_elems.size();
+  WeightMatrix w(rows, cols);
+  std::vector<double> row_max(rows, 0.0);
+  std::vector<double> col_max(cols, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      const double v = sim->ScoreThresholded(*r_elems[i], *s_elems[j], alpha);
+      w.At(i, j) = v;
+      row_max[i] = std::max(row_max[i], v);
+      col_max[j] = std::max(col_max[j], v);
+    }
+  }
+  stats->matrix_rows = rows;
+  stats->matrix_cols = cols;
+  stats->similarity_calls += rows * cols;
+
+  double row_sum = 0.0;
+  for (double v : row_max) row_sum += v;
+  double col_sum = 0.0;
+  for (double v : col_max) col_sum += v;
+  d.upper = base + std::min(row_sum, col_sum);
+  d.lower = base;
+  if (d.upper < theta - margin) {
+    d.related = false;
+    d.score = d.upper;
+    ++stats->bound_rejects;
+    return d;
+  }
+  if (floor_theta > theta && d.upper < floor_theta - margin) {
+    d.related = false;
+    d.score = d.upper;
+    ++stats->floor_rejects;
+    return d;
+  }
+
+  std::vector<uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (row_max[a] != row_max[b]) return row_max[a] > row_max[b];
+    return a < b;
+  });
+  std::vector<uint8_t> col_used(cols, 0);
+  double greedy = 0.0;
+  for (uint32_t i : order) {
+    if (row_max[i] <= 0.0) break;
+    double best = 0.0;
+    size_t best_j = cols;
+    for (size_t j = 0; j < cols; ++j) {
+      if (!col_used[j] && w.At(i, j) > best) {
+        best = w.At(i, j);
+        best_j = j;
+      }
+    }
+    if (best_j < cols) {
+      col_used[best_j] = 1;
+      greedy += best;
+    }
+  }
+  d.lower = base + greedy;
+  if (d.lower >= theta + margin) {
+    d.related = true;
+    if (need_exact_score) {
+      d.score = base + MaxWeightMatchingScore(w);
+      d.exact = true;
+      ++stats->reporting_solves;
+    } else {
+      d.score = d.lower;
+    }
+    ++stats->bound_accepts;
+    return d;
+  }
+  d.lower = base + std::max(greedy, LocalMaxMatchingScore(w));
+  if (d.lower >= theta + margin) {
+    d.related = true;
+    if (need_exact_score) {
+      d.score = base + MaxWeightMatchingScore(w);
+      d.exact = true;
+      ++stats->reporting_solves;
+    } else {
+      d.score = d.lower;
+    }
+    ++stats->tier2_accepts;
+    return d;
+  }
+  d.score = base + MaxWeightMatchingScore(w);
+  d.exact = true;
+  d.related = d.score >= theta - kFloatSlack;
+  ++stats->exact_solves;
+  return d;
+}
+
+// Forwards to the real φ (kind() and HasMetricDual() included, as the
+// benchmark's tracing wrapper does) and records every thresholded pair.
+class RecordingSimilarity final : public ElementSimilarity {
+ public:
+  explicit RecordingSimilarity(const ElementSimilarity* inner)
+      : inner_(inner) {}
+  SimilarityKind kind() const override { return inner_->kind(); }
+  bool HasMetricDual() const override { return inner_->HasMetricDual(); }
+  double Score(const Element& a, const Element& b) const override {
+    return inner_->Score(a, b);
+  }
+  double ScoreThresholded(const Element& a, const Element& b,
+                          double alpha) const override {
+    calls.emplace_back(&a, &b);
+    return inner_->ScoreThresholded(a, b, alpha);
+  }
+  mutable std::vector<std::pair<const Element*, const Element*>> calls;
+
+ private:
+  const ElementSimilarity* inner_;
+};
+
+bool ShareToken(const Element& a, const Element& b) {
+  size_t i = 0, j = 0;
+  while (i < a.tokens.size() && j < b.tokens.size()) {
+    if (a.tokens[i] == b.tokens[j]) return true;
+    if (a.tokens[i] < b.tokens[j]) ++i;
+    else ++j;
+  }
+  return false;
+}
+
+// The pairs the sparse verifier must score on the reference's survivors:
+// every pair sharing a token for Jaccard, every pair for edit φ.
+std::set<std::pair<const Element*, const Element*>> ExpectedScoredPairs(
+    const std::vector<const Element*>& r_elems,
+    const std::vector<const Element*>& s_elems, SimilarityKind kind) {
+  std::set<std::pair<const Element*, const Element*>> out;
+  if (r_elems.empty() || s_elems.empty()) return out;
+  for (const Element* a : r_elems) {
+    for (const Element* b : s_elems) {
+      if (IsEditSimilarity(kind) || ShareToken(*a, *b)) out.emplace(a, b);
+    }
+  }
+  return out;
+}
+
+// Appends an element over words w<id> of `ids`: tokens are the sorted
+// unique ids (Jaccard's view), text the words in the given order.
+void AddWords(SetRecord* set, const std::vector<TokenId>& ids) {
+  std::string text;
+  for (TokenId id : ids) {
+    if (!text.empty()) text.push_back(' ');
+    text += "w" + std::to_string(id);
+  }
+  std::vector<TokenId> tokens = ids;
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  if (!set->arena) set->arena = std::make_shared<ElementArena>();
+  set->elements.push_back(MakeArenaElement(set->arena.get(), text, tokens));
+}
+
+// A random pair of sets over a small vocabulary: empty-token elements,
+// elements copied between and within the sets (reduction with
+// multiplicities), and — in `disjoint` trials — no token shared at all.
+std::pair<SetRecord, SetRecord> RandomPair(Rng* rng, bool disjoint) {
+  auto random_ids = [&](TokenId offset) {
+    std::vector<TokenId> ids;
+    if (rng->NextBool(0.08)) return ids;  // Empty-token element.
+    const size_t n = 1 + rng->NextBounded(3);
+    for (size_t k = 0; k < n; ++k) {
+      ids.push_back(offset + static_cast<TokenId>(rng->NextBounded(8)));
+    }
+    return ids;
+  };
+  std::vector<std::vector<TokenId>> r_ids, s_ids;
+  const size_t nr = 1 + rng->NextBounded(7);
+  const size_t ns = 1 + rng->NextBounded(7);
+  for (size_t i = 0; i < nr; ++i) {
+    r_ids.push_back(i > 0 && rng->NextBool(0.2)
+                        ? r_ids[rng->NextBounded(i)]
+                        : random_ids(0));
+  }
+  for (size_t j = 0; j < ns; ++j) {
+    if (!disjoint && rng->NextBool(0.35)) {
+      s_ids.push_back(r_ids[rng->NextBounded(nr)]);
+    } else if (j > 0 && rng->NextBool(0.2)) {
+      s_ids.push_back(s_ids[rng->NextBounded(j)]);
+    } else {
+      s_ids.push_back(random_ids(disjoint ? 100 : 0));
+    }
+  }
+  std::pair<SetRecord, SetRecord> out;
+  for (const auto& ids : r_ids) AddWords(&out.first, ids);
+  for (const auto& ids : s_ids) AddWords(&out.second, ids);
+  return out;
+}
+
+struct SparseCase {
+  SimilarityKind kind;
+  double alpha;
+};
+
+TEST(SparseVerifierParity, MatchesDenseReferenceExactly) {
+  const SparseCase cases[] = {
+      {SimilarityKind::kJaccard, 0.0}, {SimilarityKind::kJaccard, 0.3},
+      {SimilarityKind::kJaccard, 0.6}, {SimilarityKind::kEds, 0.0},
+      {SimilarityKind::kEds, 0.5},     {SimilarityKind::kNeds, 0.0},
+      {SimilarityKind::kNeds, 0.5}};
+  Rng rng(2024);
+  std::map<std::string, size_t> outcomes;
+  for (const SparseCase& c : cases) {
+    const ElementSimilarity* plain = GetSimilarity(c.kind);
+    RecordingSimilarity recording(plain);
+    for (int trial = 0; trial < 150; ++trial) {
+      const auto [r, s] = RandomPair(&rng, /*disjoint=*/trial % 10 == 0);
+      const double small =
+          static_cast<double>(std::min(r.Size(), s.Size()));
+      for (const bool reduction : {false, true}) {
+        const MaxMatchingVerifier verifier(&recording, c.alpha, reduction);
+        const double exact = verifier.Score(r, s);
+        std::vector<const Element*> r_left, s_left;
+        ReferenceSelect(r, s, c.kind, verifier.ReductionActive(), &r_left,
+                        &s_left);
+        const auto expected_pairs = ExpectedScoredPairs(r_left, s_left, c.kind);
+        // θ below, at and above the optimum; small multiples of the smaller
+        // side; the floor off, just above θ and far above it.
+        for (const double theta :
+             {0.0, 0.25 * small, 0.5 * small, exact, exact + 0.2, small}) {
+          for (const double floor_theta : {-1.0, theta + 0.1, theta + 1.5}) {
+            for (const bool need_exact : {false, true}) {
+              const double margin = kFloatSlack *
+                                    (static_cast<double>(r.Size() + s.Size()) +
+                                     2.0);
+              MatchingStats want_stats;
+              const VerifyDecision want = ReferenceScoreDecision(
+                  plain, c.alpha, reduction, r, s, theta, &want_stats, margin,
+                  need_exact, floor_theta);
+              recording.calls.clear();
+              MatchingStats got_stats;
+              const VerifyDecision got =
+                  verifier.ScoreDecision(r, s, theta, &got_stats, margin,
+                                         need_exact, floor_theta);
+              const std::string where =
+                  std::string(SimilarityKindName(c.kind)) + " alpha " +
+                  std::to_string(c.alpha) + " trial " +
+                  std::to_string(trial) + " reduction " +
+                  std::to_string(reduction) + " theta " +
+                  std::to_string(theta) + " floor " +
+                  std::to_string(floor_theta) + " need_exact " +
+                  std::to_string(need_exact);
+              ASSERT_EQ(got.related, want.related) << where;
+              ASSERT_EQ(got.exact, want.exact) << where;
+              ASSERT_EQ(got.score, want.score) << where;
+              ASSERT_EQ(got.lower, want.lower) << where;
+              ASSERT_EQ(got.upper, want.upper) << where;
+              ASSERT_EQ(got_stats.matrix_rows, want_stats.matrix_rows) << where;
+              ASSERT_EQ(got_stats.matrix_cols, want_stats.matrix_cols) << where;
+              ASSERT_EQ(got_stats.reduced_pairs, want_stats.reduced_pairs)
+                  << where;
+              ASSERT_EQ(got_stats.bound_accepts, want_stats.bound_accepts)
+                  << where;
+              ASSERT_EQ(got_stats.bound_rejects, want_stats.bound_rejects)
+                  << where;
+              ASSERT_EQ(got_stats.tier2_accepts, want_stats.tier2_accepts)
+                  << where;
+              ASSERT_EQ(got_stats.floor_rejects, want_stats.floor_rejects)
+                  << where;
+              ASSERT_EQ(got_stats.exact_solves, want_stats.exact_solves)
+                  << where;
+              ASSERT_EQ(got_stats.reporting_solves,
+                        want_stats.reporting_solves)
+                  << where;
+              // φ runs on exactly the pairs that can be positive, each once.
+              ASSERT_EQ(got_stats.similarity_calls, expected_pairs.size())
+                  << where;
+              ASSERT_EQ(recording.calls.size(), expected_pairs.size())
+                  << where;
+              const std::set<std::pair<const Element*, const Element*>>
+                  scored(recording.calls.begin(), recording.calls.end());
+              ASSERT_EQ(scored, expected_pairs) << where;
+              if (want_stats.bound_accepts) ++outcomes["bound_accept"];
+              if (want_stats.bound_rejects) ++outcomes["bound_reject"];
+              if (want_stats.tier2_accepts) ++outcomes["tier2_accept"];
+              if (want_stats.floor_rejects) ++outcomes["floor_reject"];
+              if (want_stats.exact_solves) ++outcomes["exact_solve"];
+              if (want_stats.reporting_solves) ++outcomes["reporting_solve"];
+              if (want_stats.reduced_pairs > 0) ++outcomes["reduced"];
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach every way a decision can be settled.
+  for (const char* outcome :
+       {"bound_accept", "bound_reject", "tier2_accept", "floor_reject",
+        "exact_solve", "reporting_solve", "reduced"}) {
+    EXPECT_GT(outcomes[outcome], 0u) << outcome;
+  }
+}
+
+// Reduction with multiplicities: R holds three copies of one identity and S
+// two, interleaved with other elements. The first two R copies take the two
+// S copies in S order; the survivors are checked against the string-map
+// reference through the pairs φ is called on.
+TEST(SparseVerifierParity, ReductionWithMultiplicitiesMatchesStringMap) {
+  for (const SimilarityKind kind :
+       {SimilarityKind::kJaccard, SimilarityKind::kEds}) {
+    // Token 0 is in every element, so every survivor pair is scored and
+    // the recorded calls name the survivors on both sides.
+    SetRecord r;
+    SetRecord s;
+    AddWords(&r, {0, 1});     // copy 1 of {0, 1}
+    AddWords(&r, {0, 2});
+    AddWords(&r, {0, 1});     // copy 2
+    AddWords(&r, {0, 3});
+    AddWords(&r, {0, 1});     // copy 3
+    AddWords(&s, {0, 4});
+    AddWords(&s, {0, 1});     // copy 1
+    AddWords(&s, {0, 2});
+    AddWords(&s, {0, 1});     // copy 2
+    AddWords(&s, {0, 5});
+    if (kind == SimilarityKind::kJaccard) {
+      AddWords(&s, {1, 0});   // Same token set as {0, 1}, other text.
+    }
+    RecordingSimilarity recording(GetSimilarity(kind));
+    const MaxMatchingVerifier verifier(&recording, 0.0, true);
+    ASSERT_TRUE(verifier.ReductionActive());
+
+    std::vector<const Element*> r_left, s_left;
+    const size_t want_reduced =
+        ReferenceSelect(r, s, kind, true, &r_left, &s_left);
+    EXPECT_EQ(want_reduced, kind == SimilarityKind::kJaccard ? 4u : 3u);
+
+    MatchingStats stats;
+    verifier.ScoreDecision(r, s, /*theta=*/100.0, &stats);
+    EXPECT_EQ(stats.reduced_pairs, want_reduced) << SimilarityKindName(kind);
+    EXPECT_EQ(stats.matrix_rows, r_left.size());
+    EXPECT_EQ(stats.matrix_cols, s_left.size());
+    std::set<const Element*> r_seen, s_seen;
+    for (const auto& [a, b] : recording.calls) {
+      r_seen.insert(a);
+      s_seen.insert(b);
+    }
+    EXPECT_EQ(r_seen,
+              std::set<const Element*>(r_left.begin(), r_left.end()))
+        << SimilarityKindName(kind);
+    EXPECT_EQ(s_seen,
+              std::set<const Element*>(s_left.begin(), s_left.end()))
+        << SimilarityKindName(kind);
+    // The survivors by position. {0, 2} pairs off; for Eds the third R
+    // copy of {0, 1} survives, for Jaccard it takes S's reordered copy.
+    if (kind == SimilarityKind::kEds) {
+      EXPECT_EQ(r_seen, (std::set<const Element*>{&r.elements[3],
+                                                  &r.elements[4]}));
+    } else {
+      EXPECT_EQ(r_seen, (std::set<const Element*>{&r.elements[3]}));
+    }
+    EXPECT_EQ(s_seen, (std::set<const Element*>{&s.elements[0],
+                                                &s.elements[4]}))
+        << SimilarityKindName(kind);
+  }
+}
+
+// These two token sets have the same 64-bit identity fingerprint in the
+// verifier's reduction (a birthday-search collision of its FNV-style word
+// hash), so a reduction that trusted the hash would pair them as identical.
+TEST(SparseVerifierParity, FingerprintCollisionIsNotAnIdentity) {
+  SetRecord r;
+  SetRecord s;
+  AddWords(&r, {361939, 904046204, 1073741824});
+  AddWords(&s, {458168, 815449714, 3754286897u});
+  const MaxMatchingVerifier verifier(GetSimilarity(SimilarityKind::kJaccard),
+                                     0.0, true);
+  MatchingStats stats;
+  const VerifyDecision d = verifier.ScoreDecision(r, s, 0.5, &stats);
+  EXPECT_EQ(stats.reduced_pairs, 0u);
+  EXPECT_EQ(d.score, 0.0);
+  EXPECT_FALSE(d.related);
+  EXPECT_EQ(verifier.Score(r, s), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -240,26 +240,6 @@ TEST(MetricDualFlagTest, MatchesPaper) {
   EXPECT_FALSE(GetSimilarity(SimilarityKind::kNeds)->HasMetricDual());
 }
 
-TEST(IdentityKeyTest, JaccardUsesTokenSet) {
-  TokenDictionary dict;
-  Element a = WordElem("b a", &dict);
-  Element b = WordElem("a b", &dict);
-  Element c = WordElem("a c", &dict);
-  EXPECT_EQ(IdentityKey(a, SimilarityKind::kJaccard),
-            IdentityKey(b, SimilarityKind::kJaccard));
-  EXPECT_NE(IdentityKey(a, SimilarityKind::kJaccard),
-            IdentityKey(c, SimilarityKind::kJaccard));
-}
-
-TEST(IdentityKeyTest, EditUsesText) {
-  TokenDictionary dict;
-  Element a = WordElem("b a", &dict);
-  Element b = WordElem("a b", &dict);
-  EXPECT_NE(IdentityKey(a, SimilarityKind::kEds),
-            IdentityKey(b, SimilarityKind::kEds));
-  EXPECT_EQ(IdentityKey(a, SimilarityKind::kEds), "b a");
-}
-
 TEST(KindNameTest, Names) {
   EXPECT_STREQ(SimilarityKindName(SimilarityKind::kJaccard), "Jac");
   EXPECT_STREQ(SimilarityKindName(SimilarityKind::kEds), "Eds");

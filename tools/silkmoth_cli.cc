@@ -537,7 +537,7 @@ int OpenSnapshot(const CliArgs& args, Snapshot* snap, bool check_compat,
   const std::string err =
       shard < 0 ? LoadSnapshot(args.snapshot_path, snap, mode, &stats)
                 : LoadSnapshotShard(args.snapshot_path,
-                                    static_cast<uint32_t>(shard), snap, mode,
+                                    static_cast<uint64_t>(shard), snap, mode,
                                     &stats);
   if (!err.empty()) return Fail(LoadErrorExit(err), err);
   if (print_load) {
