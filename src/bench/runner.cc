@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -15,6 +15,7 @@
 #include "serve/server.h"
 #include "snapshot/delta_shard.h"
 #include "snapshot/snapshot.h"
+#include "util/parallel.h"
 #include "util/timer.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -45,122 +46,70 @@ struct WorkerState {
   size_t pairs = 0;            ///< Round-0 related pairs of this slice.
   LatencyHistogram latency;    ///< Every request, every round.
   size_t completed = 0;        ///< Requests finished, every round.
-  size_t rounds = 0;           ///< Full passes over this worker's slice.
   std::string error;           ///< First serve-lane failure ("" = clean).
 };
 
-/// Serves requests [begin, end) of `blocks` once, recording per-request
-/// latency. Funnel counters and pair counts go to `state` only when
-/// `count_results` (round 0) — later sustained rounds repeat byte-identical
-/// work, so counting them would just scale the deterministic fields by a
-/// nondeterministic round count.
-void ServeSlice(const SilkMoth& engine,
-                const std::vector<ReferenceBlock>& blocks, size_t begin,
-                size_t end, bool count_results, WorkerState* state) {
+/// One lane's answer to request k: runs it, adds its funnel counters to
+/// `stats` when non-null, and returns its related-pair count. A failure
+/// goes to `*error` and ends the worker's run.
+using Answer =
+    std::function<size_t(size_t k, ShardedSearchStats* stats,
+                         std::string* error)>;
+
+/// Serves requests [begin, end) once through `answer`, recording
+/// per-request latency. Funnel counters and pair counts go to `state` only
+/// when `count_results` (round 0) — later sustained rounds repeat
+/// byte-identical work, so counting them would just scale the
+/// deterministic fields by a nondeterministic round count.
+void ServeSlice(size_t begin, size_t end, bool count_results,
+                WorkerState* state, const Answer& answer) {
   for (size_t k = begin; k < end; ++k) {
     ShardedSearchStats* stats = count_results ? &state->funnel : nullptr;
     WallTimer timer;
-    const std::vector<PairMatch> matches = engine.Discover(blocks[k], stats);
+    const size_t pairs = answer(k, stats, &state->error);
     state->latency.RecordSeconds(timer.ElapsedSeconds());
     state->completed++;
-    if (count_results) state->pairs += matches.size();
+    if (!state->error.empty()) return;
+    if (count_results) state->pairs += pairs;
   }
 }
 
-/// Top-k variant of ServeSlice: each reference set of a request runs
-/// SearchTopK against the single-shard engine. Query-side accounting
-/// (query_sets, oov_tokens) is stamped the way Discover stamps it for
-/// external blocks, so the funnel reads the same across serving shapes.
-void ServeTopKSlice(const SilkMoth& engine, const Collection& pool,
-                    const std::vector<ReferenceBlock>& blocks, size_t begin,
-                    size_t end, size_t top_k, bool count_results,
-                    WorkerState* state) {
-  for (size_t k = begin; k < end; ++k) {
-    ShardedSearchStats* stats = count_results ? &state->funnel : nullptr;
-    WallTimer timer;
-    size_t pairs = 0;
-    for (uint32_t r = blocks[k].range.begin; r < blocks[k].range.end; ++r) {
-      pairs += engine.SearchTopK(pool.sets[r], top_k, stats).size();
-    }
-    state->latency.RecordSeconds(timer.ElapsedSeconds());
-    state->completed++;
-    if (count_results) {
-      state->pairs += pairs;
-      stats->per_shard[0].query_sets +=
-          blocks[k].range.end - blocks[k].range.begin;
-      stats->per_shard[0].oov_tokens += blocks[k].oov_tokens;
-    }
+/// The serve lane's answer: request k's pre-built raw-set payload goes
+/// through the resident engine's frame path — encode it as a kQuery frame,
+/// Submit(), block until the worker's response lands. The closed-loop wait
+/// makes each client's outstanding window exactly 1, so `workers` clients
+/// drive `workers` engine lanes the way the daemon's transports do. Any
+/// response that is not kResult (shed, deadline, error — a bench run sizes
+/// admission so none should occur) is an error. A kResult body is pair
+/// lines only, one '\n' per pair (the serve parity contract).
+size_t AnswerFrame(serve::ServeEngine& engine, const std::string& payload,
+                   size_t k, std::string* error) {
+  serve::Frame frame;
+  frame.type = serve::FrameType::kQuery;
+  frame.request_id = static_cast<uint64_t>(k) + 1;
+  frame.body = payload;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  serve::Frame response;
+  engine.Submit(std::move(frame), [&](serve::Frame f) {
+    std::lock_guard<std::mutex> lock(mu);
+    response = std::move(f);
+    done = true;
+    cv.notify_one();
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done; });
   }
-}
-
-/// Serve-lane variant of ServeSlice: requests [begin, end) go through the
-/// resident engine's frame path — encode the pre-built raw-set payload as a
-/// kQuery frame, Submit(), block until the worker's response lands. The
-/// closed-loop wait makes each client's outstanding window exactly 1, so
-/// `workers` clients drive `workers` engine lanes the way the daemon's
-/// transports do. Any response that is not kResult (shed, deadline, error —
-/// a bench run sizes admission so none should occur) aborts the slice into
-/// state->error. Pair counting reads the response body: a kResult body is
-/// pair lines only, one '\n' per pair (the serve parity contract).
-void ServeFrameSlice(serve::ServeEngine& engine,
-                     const std::vector<std::string>& payloads, size_t begin,
-                     size_t end, bool count_results, WorkerState* state) {
-  for (size_t k = begin; k < end; ++k) {
-    serve::Frame frame;
-    frame.type = serve::FrameType::kQuery;
-    frame.request_id = static_cast<uint64_t>(k) + 1;
-    frame.body = payloads[k];
-
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    serve::Frame response;
-    WallTimer timer;
-    engine.Submit(std::move(frame), [&](serve::Frame f) {
-      std::lock_guard<std::mutex> lock(mu);
-      response = std::move(f);
-      done = true;
-      cv.notify_one();
-    });
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return done; });
-    }
-    state->latency.RecordSeconds(timer.ElapsedSeconds());
-    state->completed++;
-
-    if (response.type != serve::FrameType::kResult) {
-      state->error = "request " + std::to_string(k) + " answered with " +
-                     serve::FrameTypeName(response.type) + ": " +
-                     response.body;
-      return;
-    }
-    if (count_results) {
-      for (char c : response.body) {
-        if (c == '\n') state->pairs++;
-      }
-    }
+  if (response.type != serve::FrameType::kResult) {
+    *error = "request " + std::to_string(k) + " answered with " +
+             serve::FrameTypeName(response.type) + ": " + response.body;
+    return 0;
   }
-}
-
-/// Dynamic-corpus variant of ServeSlice: requests stream through the base
-/// shard views plus the delta view via the one DiscoverAcrossShards
-/// driver — the same call the CLI's --delta-file replay and the serve
-/// daemon's ingest path make, so the bench measures the production
-/// base+delta serving shape.
-void ServeDeltaSlice(const Collection& universe,
-                     std::span<const ShardView> views, const Options& options,
-                     const std::vector<ReferenceBlock>& blocks, size_t begin,
-                     size_t end, bool count_results, WorkerState* state) {
-  for (size_t k = begin; k < end; ++k) {
-    ShardedSearchStats* stats = count_results ? &state->funnel : nullptr;
-    WallTimer timer;
-    const std::vector<PairMatch> matches =
-        DiscoverAcrossShards(blocks[k], universe, views, options, stats);
-    state->latency.RecordSeconds(timer.ElapsedSeconds());
-    state->completed++;
-    if (count_results) state->pairs += matches.size();
-  }
+  return static_cast<size_t>(
+      std::count(response.body.begin(), response.body.end(), '\n'));
 }
 
 }  // namespace
@@ -353,90 +302,74 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
     out->pre_ingest_seconds = pre_timer.ElapsedSeconds();
   }
 
+  // Each lane's answer to one request. Standard serving goes through
+  // SilkMoth::Discover; top-k serving runs SearchTopK per reference set and
+  // stamps the query-side accounting (query_sets, oov_tokens) the way
+  // Discover stamps it for external blocks, so the funnel reads the same
+  // across serving shapes; the dynamic lane streams the base shard views
+  // plus the delta view through the one DiscoverAcrossShards driver — the
+  // call the CLI's --delta-file replay and the serve daemon's ingest path
+  // make; the serve lane round-trips frames (AnswerFrame).
+  Answer answer;
+  if (serving) {
+    answer = [&](size_t k, ShardedSearchStats*, std::string* error) {
+      return AnswerFrame(*served, payloads[k], k, error);
+    };
+  } else if (topk) {
+    answer = [&](size_t k, ShardedSearchStats* stats, std::string*) {
+      const ReferenceBlock& block = blocks[k];
+      size_t pairs = 0;
+      for (uint32_t r = block.range.begin; r < block.range.end; ++r) {
+        pairs += engine->SearchTopK(query_pool.sets[r], spec.top_k, stats)
+                     .size();
+      }
+      if (stats != nullptr) {
+        stats->per_shard[0].query_sets += block.NumRefs();
+        stats->per_shard[0].oov_tokens += block.oov_tokens;
+      }
+      return pairs;
+    };
+  } else if (dynamic) {
+    answer = [&](size_t k, ShardedSearchStats* stats, std::string*) {
+      return DiscoverAcrossShards(blocks[k], universe, views, options, stats)
+          .size();
+    };
+  } else {
+    answer = [&](size_t k, ShardedSearchStats* stats, std::string*) {
+      return engine->Discover(blocks[k], stats).size();
+    };
+  }
+
   // Serve phase. Workers own contiguous request slices; slice boundaries
   // depend only on (requests, workers), so the round-0 union is exactly one
   // full pass over the stream at every worker count.
   const size_t workers = static_cast<size_t>(spec.workers);
-  const size_t per_worker = (blocks.size() + workers - 1) / workers;
   std::vector<WorkerState> states(workers);
   for (WorkerState& s : states) s.funnel.Reset(funnel_slots);
 
+  // Round 0 is barriered: every client serves its slice exactly once and
+  // joins before the serve lane's funnel snapshot, so StatsSnapshot() reads
+  // exactly one full pass — no sustained re-issue can leak into the
+  // deterministic fields.
   WallTimer run_timer;
-  if (serving) {
-    // Round 0 is barriered: every client serves its slice exactly once and
-    // joins before the funnel snapshot, so StatsSnapshot() reads exactly
-    // one full pass — no sustained re-issue can leak into the
-    // deterministic fields.
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (size_t w = 0; w < workers; ++w) {
-        const size_t begin = std::min(w * per_worker, blocks.size());
-        const size_t end = std::min(begin + per_worker, blocks.size());
-        threads.emplace_back([&, w, begin, end] {
-          ServeFrameSlice(*served, payloads, begin, end,
-                          /*count_results=*/true, &states[w]);
-          states[w].rounds = 1;
-        });
+  RunWorkers(workers, [&](size_t w) {
+    const auto [begin, end] = Chunk(blocks.size(), workers, w);
+    ServeSlice(begin, end, /*count_results=*/true, &states[w], answer);
+  });
+  if (serving) out->funnel = served->StatsSnapshot();
+  if (spec.mode == RunMode::kSustained) {
+    // Sustained rounds re-issue the identical slices uncounted until the
+    // deadline (measured from serve start, round 0 included). Whole rounds
+    // only, so partial rounds never skew the latency mix toward the
+    // slice's cheap prefix.
+    RunWorkers(workers, [&](size_t w) {
+      const auto [begin, end] = Chunk(blocks.size(), workers, w);
+      WorkerState* state = &states[w];
+      while (begin < end && state->error.empty() &&
+             run_timer.ElapsedSeconds() < spec.sustained_seconds) {
+        ServeSlice(begin, end, /*count_results=*/false, state, answer);
       }
-      for (std::thread& t : threads) t.join();
-    }
-    out->funnel = served->StatsSnapshot();
-    if (spec.mode == RunMode::kSustained) {
-      // Sustained rounds re-issue the identical slices uncounted until the
-      // deadline (measured from serve start, round 0 included).
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (size_t w = 0; w < workers; ++w) {
-        const size_t begin = std::min(w * per_worker, blocks.size());
-        const size_t end = std::min(begin + per_worker, blocks.size());
-        threads.emplace_back([&, w, begin, end] {
-          WorkerState* state = &states[w];
-          while (begin < end && state->error.empty() &&
-                 run_timer.ElapsedSeconds() < spec.sustained_seconds) {
-            ServeFrameSlice(*served, payloads, begin, end,
-                            /*count_results=*/false, state);
-            state->rounds++;
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-    }
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      const size_t begin = std::min(w * per_worker, blocks.size());
-      const size_t end = std::min(begin + per_worker, blocks.size());
-      threads.emplace_back([&, w, begin, end] {
-        WorkerState* state = &states[w];
-        const auto serve = [&](bool count_results) {
-          if (topk) {
-            ServeTopKSlice(*engine, query_pool, blocks, begin, end,
-                           spec.top_k, count_results, state);
-          } else if (dynamic) {
-            ServeDeltaSlice(universe, views, options, blocks, begin, end,
-                            count_results, state);
-          } else {
-            ServeSlice(*engine, blocks, begin, end, count_results, state);
-          }
-        };
-        if (spec.mode == RunMode::kClosedLoop) {
-          serve(/*count_results=*/true);
-          state->rounds = 1;
-          return;
-        }
-        // Sustained: whole rounds until the deadline, so partial rounds
-        // never skew the latency mix toward the slice's cheap prefix.
-        WallTimer deadline;
-        do {
-          serve(/*count_results=*/state->rounds == 0);
-          state->rounds++;
-        } while (begin < end &&
-                 deadline.ElapsedSeconds() < spec.sustained_seconds);
-      });
-    }
-    for (std::thread& t : threads) t.join();
+    });
   }
   out->run_seconds = run_timer.ElapsedSeconds();
 

@@ -89,9 +89,10 @@ struct BenchResult {
 /// request is a WriteRawSets payload submitted as a kQuery frame, and the
 /// closed-loop clients block on the response — so the measured path is
 /// admission + worker lanes + per-request tokenization, exactly what the
-/// `serve` subcommand runs. Round 0 is a barriered full pass (funnel
-/// snapshot taken before any sustained re-issue), keeping the same
-/// deterministic-field contract as the direct lanes.
+/// `serve` subcommand runs. In every lane round 0 is a barriered full
+/// pass (the serve lane's funnel snapshot is taken before any sustained
+/// re-issue), and sustained rounds run until `sustained_seconds` after
+/// serve start.
 /// Specs with `delta_sets > 0` run the dynamic-corpus lane: the base
 /// engine indexes all but the last delta_sets corpus sets, a single
 /// uncounted pass over the base shards records pairs_pre_ingest, the

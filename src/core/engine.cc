@@ -2,26 +2,9 @@
 
 #include <cstdio>
 
-#include "core/query_scratch.h"
 #include "core/sharded_engine.h"
 
 namespace silkmoth {
-namespace {
-
-/// One scratch per thread, reused across calls and shards: repeated
-/// searches pay the dense-array allocation once (the scratch grows to any
-/// collection it sees and epoch-stamping keeps stale state invisible, which
-/// makes cross-shard reuse exactly as safe as cross-reference reuse).
-/// ShrinkTo bounds the retention when a past query against a much larger
-/// collection left oversized buffers behind.
-QueryScratch& ThreadScratch(size_t num_sets) {
-  static thread_local QueryScratch scratch;
-  scratch.ShrinkTo(num_sets);
-  return scratch;
-}
-
-}  // namespace
-
 void AppendPairLine(std::string* out, const PairMatch& p) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%u\t%u\t%.6f\t%.6f\n", p.ref_id, p.set_id,
@@ -54,14 +37,13 @@ std::vector<SearchMatch> SilkMoth::Search(const SetRecord& ref,
                                           ShardedSearchStats* stats) const {
   if (!ok()) return {};
   PrepareStats(stats);
-  QueryScratch& scratch = ThreadScratch(data_->sets.size());
   std::vector<SearchMatch> results;
   for (size_t s = 0; s < num_shards(); ++s) {
     if (ranges_[s].begin == ranges_[s].end) continue;  // Empty shard.
     std::vector<SearchMatch> matches = RunSearchPass(
         ref, *data_, indexes_[s], options_, kNoExclude,
-        stats != nullptr ? &stats->per_shard[s] : nullptr, &scratch,
-        ranges_[s]);
+        stats != nullptr ? &stats->per_shard[s] : nullptr,
+        /*scratch=*/nullptr, ranges_[s]);
     // Shard ranges are disjoint and ascending and each shard's matches are
     // sorted by set id, so appending keeps the global set-id order.
     if (results.empty()) {
@@ -85,7 +67,7 @@ std::vector<SearchMatch> SilkMoth::SearchTopK(const SetRecord& ref, size_t k,
   // already the exact top k, sorted best-first.
   return RunSearchPass(ref, *data_, indexes_[0], options_, kNoExclude,
                        stats != nullptr ? &stats->per_shard[0] : nullptr,
-                       &ThreadScratch(data_->sets.size()), ranges_[0], k);
+                       /*scratch=*/nullptr, ranges_[0], k);
 }
 
 std::vector<PairMatch> SilkMoth::Discover(const Collection& refs,

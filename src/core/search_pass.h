@@ -33,8 +33,10 @@ inline constexpr uint32_t kNoExclude = static_cast<uint32_t>(-1);
 ///
 /// The similarity for options.phi is resolved once per pass and handed to
 /// every stage. `scratch` supplies the reusable epoch-stamped buffers the
-/// filters run on; pass one instance per thread and reuse it across
-/// references (discovery does). When null, a pass-local scratch is used.
+/// filters run on; when null (what every engine path passes), the calling
+/// thread's own scratch is used, reused across passes, references and
+/// shards and trimmed with QueryScratch::ShrinkTo to `data`'s set count.
+/// A caller-owned instance must not be shared between threads.
 ///
 /// `scan_range` is the candidate universe `index` was built over (a shard's
 /// set-id range). Signature-probed candidates are already confined to it

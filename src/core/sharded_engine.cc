@@ -1,9 +1,8 @@
 #include "core/sharded_engine.h"
 
 #include <algorithm>
-#include <thread>
 
-#include "core/query_scratch.h"
+#include "util/parallel.h"
 
 namespace silkmoth {
 
@@ -88,27 +87,18 @@ std::vector<SetIdRange> ComputeShardRanges(const Collection& data,
 std::vector<InvertedIndex> BuildShardIndexes(
     const Collection& collection, const std::vector<SetIdRange>& ranges,
     int num_threads) {
-  const uint32_t num_shards = static_cast<uint32_t>(ranges.size());
+  const size_t num_shards = ranges.size();
   std::vector<InvertedIndex> indexes(num_shards);
-  // Strided parallel build, capped by num_threads so index construction
-  // honors the same budget as queries.
-  const uint32_t builders =
-      std::min(num_shards, static_cast<uint32_t>(std::max(1, num_threads)));
-  auto build_strided = [&](uint32_t first) {
-    for (uint32_t s = first; s < num_shards; s += builders) {
+  // Builders take contiguous shard chunks, capped by num_threads so index
+  // construction honors the same budget as queries.
+  const size_t builders =
+      std::min(num_shards, static_cast<size_t>(std::max(1, num_threads)));
+  RunWorkers(builders, [&](size_t b) {
+    const auto [first, last] = Chunk(num_shards, builders, b);
+    for (size_t s = first; s < last; ++s) {
       indexes[s].Build(collection, ranges[s].begin, ranges[s].end);
     }
-  };
-  if (builders <= 1) {
-    build_strided(0);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(builders);
-    for (uint32_t b = 0; b < builders; ++b) {
-      workers.emplace_back(build_strided, b);
-    }
-    for (auto& w : workers) w.join();
-  }
+  });
   return indexes;
 }
 
@@ -119,14 +109,11 @@ std::vector<PairMatch> DiscoverAcrossShards(const ReferenceBlock& block,
                                             ShardedSearchStats* stats) {
   const Collection& refs = *block.refs;
   const bool self_join = block.self_join;
-  const uint32_t ref_begin = block.begin_id();
-  const uint32_t ref_end = block.end_id();
   const uint32_t num_refs = block.NumRefs();
   const size_t num_shards = shards.size();
-  const int threads =
-      std::max(1, std::min<int>(options.num_threads,
-                                static_cast<int>(num_refs == 0 ? 1
-                                                               : num_refs)));
+  const size_t threads = static_cast<size_t>(std::max(
+      1, std::min<int>(options.num_threads,
+                       static_cast<int>(num_refs == 0 ? 1 : num_refs))));
 
   // A SET-SIMILARITY self-join reports each unordered pair once (keeping
   // ref_id < set_id); SET-CONTAINMENT is asymmetric, so both directions
@@ -134,60 +121,44 @@ std::vector<PairMatch> DiscoverAcrossShards(const ReferenceBlock& block,
   const bool dedup_pairs =
       self_join && options.metric == Relatedness::kSimilarity;
 
-  // Each worker streams its block of references through every shard in
-  // shard order, with one QueryScratch per (worker, shard): shard passes
-  // share no transient state, which is the layout the multi-process split
-  // (snapshot/shard_runner.h) inherits — each shard worker becomes a
-  // process running this very function over a single-shard span. Passing
-  // the self-join exclude id to every shard is harmless — only the shard
-  // owning the reference can ever see it as a candidate.
-  auto run_range = [&](uint32_t begin, uint32_t end,
-                       std::vector<PairMatch>* out, ShardedSearchStats* st,
-                       std::vector<QueryScratch>* scratches) {
-    for (uint32_t r = begin; r < end; ++r) {
+  // Each worker streams its contiguous chunk of the block through every
+  // shard in shard order into private results and counters, on its
+  // thread's one scratch: shard passes share no other transient state,
+  // which is the layout the multi-process split (snapshot/shard_runner.h)
+  // inherits — each shard worker becomes a process running this very
+  // function over a single-shard span. Passing the self-join exclude id to
+  // every shard is harmless — only the shard owning the reference can ever
+  // see it as a candidate.
+  std::vector<std::vector<PairMatch>> partial(threads);
+  std::vector<ShardedSearchStats> partial_stats(threads);
+  RunWorkers(threads, [&](size_t t) {
+    const auto [begin, end] = Chunk(num_refs, threads, t);
+    ShardedSearchStats* st = stats != nullptr ? &partial_stats[t] : nullptr;
+    if (st != nullptr) st->Reset(num_shards);
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t r = block.begin_id() + static_cast<uint32_t>(i);
       const uint32_t exclude = self_join ? r : kNoExclude;
       for (size_t s = 0; s < num_shards; ++s) {
         const ShardView& shard = shards[s];
         if (shard.range.begin == shard.range.end) continue;  // Empty shard.
-        std::vector<SearchMatch> matches = RunSearchPass(
+        const std::vector<SearchMatch> matches = RunSearchPass(
             refs.sets[r], data, *shard.index, options, exclude,
-            st != nullptr ? &st->per_shard[s] : nullptr, &(*scratches)[s],
+            st != nullptr ? &st->per_shard[s] : nullptr, /*scratch=*/nullptr,
             shard.range);
         for (const SearchMatch& m : matches) {
           if (dedup_pairs && m.set_id < r) continue;
-          out->push_back(PairMatch{r, m.set_id, m.matching_score,
-                                   m.relatedness});
+          partial[t].push_back(PairMatch{r, m.set_id, m.matching_score,
+                                         m.relatedness});
         }
       }
     }
-  };
-
-  std::vector<PairMatch> results;
-  if (threads == 1) {
-    std::vector<QueryScratch> scratches(num_shards);
-    run_range(ref_begin, ref_end, &results, stats, &scratches);
-  } else {
-    std::vector<std::vector<PairMatch>> partial(threads);
-    std::vector<ShardedSearchStats> partial_stats(threads);
-    std::vector<std::vector<QueryScratch>> scratches(threads);
-    for (int t = 0; t < threads; ++t) {
-      partial_stats[t].Reset(num_shards);
-      scratches[t].resize(num_shards);
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const uint32_t chunk = (num_refs + threads - 1) / threads;
-    for (int t = 0; t < threads; ++t) {
-      const uint32_t begin = ref_begin + std::min(num_refs, t * chunk);
-      const uint32_t end = ref_begin + std::min(num_refs, (t + 1) * chunk);
-      workers.emplace_back(run_range, begin, end, &partial[t],
-                           &partial_stats[t], &scratches[t]);
-    }
-    for (auto& w : workers) w.join();
-    for (int t = 0; t < threads; ++t) {
-      results.insert(results.end(), partial[t].begin(), partial[t].end());
-      if (stats != nullptr) stats->Merge(partial_stats[t]);
-    }
+  });
+  std::vector<PairMatch> results = std::move(partial[0]);
+  for (size_t t = 1; t < threads; ++t) {
+    results.insert(results.end(), partial[t].begin(), partial[t].end());
+  }
+  if (stats != nullptr) {
+    for (const ShardedSearchStats& st : partial_stats) stats->Merge(st);
   }
 
   // External blocks record the query-side accounting on every shard slot

@@ -39,8 +39,9 @@ std::vector<SetIdRange> ComputeShardRanges(const Collection& data,
                                            uint32_t num_shards);
 
 /// Builds one CSR index per range over `collection`, with up to
-/// `num_threads` parallel builders (each builder only reads the immutable
-/// collection and writes its own slots). The shared index-construction step
+/// `num_threads` parallel builders, each taking a contiguous chunk of the
+/// ranges (a builder only reads the immutable collection and writes its
+/// own slots). The shared index-construction step
 /// of the SilkMoth engine and the snapshot builder.
 std::vector<InvertedIndex> BuildShardIndexes(
     const Collection& collection, const std::vector<SetIdRange>& ranges,
@@ -60,8 +61,9 @@ struct ShardView {
 /// canonical sort) cannot drift between them.
 ///
 /// Streams every reference of `block` through every shard in `shards`:
-/// up to options.num_threads workers each take a contiguous slice of the
-/// block with one QueryScratch per (worker, shard). For self-join blocks,
+/// up to options.num_threads workers (util/parallel.h; one worker runs on
+/// the calling thread) each take a contiguous chunk of the block, running
+/// every pass on their thread's one QueryScratch. For self-join blocks,
 /// block.refs must be `data` itself; self-pairs are excluded and symmetric
 /// metrics report each unordered pair once (ref_id < set_id). External
 /// blocks evaluate every (query, candidate) pair — no exclusion, no dedup —

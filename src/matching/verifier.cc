@@ -58,10 +58,13 @@ uint64_t IdentityFingerprint(const Element& e, bool edit) {
   return h;
 }
 
+/// True when the reduction may pair `a` with `b` (their φ is 1). A Jaccard
+/// element without tokens scores 0 against everything, itself included,
+/// so it is identical to nothing.
 bool SameIdentity(const Element& a, const Element& b, bool edit) {
   if (edit) return a.text == b.text;
-  return std::equal(a.tokens.begin(), a.tokens.end(), b.tokens.begin(),
-                    b.tokens.end());
+  return !a.tokens.empty() && std::equal(a.tokens.begin(), a.tokens.end(),
+                                         b.tokens.begin(), b.tokens.end());
 }
 
 /// The dense φ_α matrix of an edge list: the positive cells, zero elsewhere.

@@ -58,7 +58,10 @@ struct AlignedPair {
 /// is silently skipped whenever its preconditions do not hold. Identical
 /// elements are found through sorted 64-bit fingerprints of their identity
 /// (token ids for Jaccard, text for edit similarity), each hit confirmed by
-/// comparing the identities.
+/// comparing the identities. Only elements whose φ is 1 count as
+/// identical: a Jaccard element with no tokens scores 0 even against
+/// itself, so it is never reduction-paired (two empty texts are identical
+/// under the edit similarities, whose φ is 1 there).
 ///
 /// ScoreDecision works on the φ_α graph as edge lists rather than a dense
 /// matrix: for Jaccard only pairs that share a token can score above zero,

@@ -3,15 +3,20 @@
 
 Schema version 1 (docs/CLI.md, "Bench report schema"): required keys with
 required types, `bench_schema_version == 1`, non-negative latencies, and the
-percentile ordering p50 <= p95 <= p99 <= max. Run by tests/bench_json_test.sh
-and by the CI bench smoke after it regenerates the committed reports.
+percentile ordering p50 <= p95 <= p99 <= max. The required `funnel.*` keys
+are every counter of the kSearchCounters table in src/core/stats.h, read
+from the source so a new counter is checked without editing this script.
+Run by tests/bench_json_test.sh and by the CI bench smoke after it
+regenerates the committed reports.
 
 Usage: bench_schema_check.py BENCH.json [BENCH.json ...]
 Exits non-zero with one diagnostic line per violation.
 """
 
 import json
+import re
 import sys
+from pathlib import Path
 
 INT = int
 NUM = (int, float)
@@ -54,18 +59,6 @@ REQUIRED = {
     ("delta", "sets"): INT,
     ("delta", "oov_tokens"): INT,
     ("delta", "pairs_pre_ingest"): INT,
-    ("funnel", "references"): INT,
-    ("funnel", "initial_candidates"): INT,
-    ("funnel", "after_size"): INT,
-    ("funnel", "after_check"): INT,
-    ("funnel", "after_nn"): INT,
-    ("funnel", "verifications"): INT,
-    ("funnel", "tier2_accepts"): INT,
-    ("funnel", "heap_floor_rejects"): INT,
-    ("funnel", "reporting_solves"): INT,
-    ("funnel", "results"): INT,
-    ("funnel", "query_sets"): INT,
-    ("funnel", "oov_tokens"): INT,
     ("per_shard_results",): list,
     ("timing", "build_seconds"): NUM,
     ("timing", "ingest_seconds"): NUM,
@@ -87,6 +80,34 @@ REQUIRED = {
     ("timing", "phase_seconds", "verify"): NUM,
     ("timing", "peak_rss_bytes"): INT,
 }
+
+
+STATS_H = Path(__file__).resolve().parent.parent / "src" / "core" / "stats.h"
+
+
+def search_counters(path=STATS_H):
+    """Counter names of the kSearchCounters table, in table order.
+
+    Exits non-zero when the file or the table cannot be read, or when a row
+    of it does not parse, so the funnel check can never silently shrink.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        sys.exit(f"bench_schema_check: cannot read {path}: {e}")
+    table = re.search(r"kSearchCounters\[\]\s*=\s*\{(.*?)\n\};", text,
+                      re.S)
+    if table is None:
+        sys.exit(f"bench_schema_check: no kSearchCounters table in {path}")
+    rows = table.group(1).count("{")
+    names = re.findall(r'\{"(\w+)",\s*&SearchStats::\w+\}', table.group(1))
+    if rows == 0 or len(names) != rows:
+        sys.exit(f"bench_schema_check: parsed {len(names)} of {rows} "
+                 f"kSearchCounters rows in {path}")
+    return names
+
+
+REQUIRED.update({("funnel", name): INT for name in search_counters()})
 
 
 def lookup(doc, path):

@@ -123,6 +123,28 @@ TEST(VerifierTest, EmptySets) {
   EXPECT_DOUBLE_EQ(v.Score(empty, empty), 0.0);
 }
 
+// A Jaccard element with no tokens scores 0 even against itself, so the
+// reduction must not pair two of them as identical.
+TEST(VerifierTest, EmptyTokenElementsAreNeverReductionPaired) {
+  SetRecord r;
+  r.AddElement("", {});
+  SetRecord s;
+  s.AddElement("", {});
+  for (const bool reduction : {false, true}) {
+    MaxMatchingVerifier v(GetSimilarity(SimilarityKind::kJaccard), 0.0,
+                          reduction);
+    EXPECT_EQ(v.ReductionActive(), reduction);
+    MatchingStats stats;
+    EXPECT_DOUBLE_EQ(v.Score(r, s, &stats), 0.0) << reduction;
+    EXPECT_EQ(stats.reduced_pairs, 0u) << reduction;
+    const VerifyDecision d = v.ScoreDecision(r, s, /*theta=*/0.5, nullptr,
+                                             kFloatSlack,
+                                             /*need_exact_score=*/true);
+    EXPECT_FALSE(d.related) << reduction;
+    EXPECT_DOUBLE_EQ(d.score, 0.0) << reduction;
+  }
+}
+
 TEST(VerifierTest, AlphaZeroesWeakEdges) {
   RawSets raw = {{"a b c d"}};
   Collection data = BuildCollection(raw, TokenizerKind::kWord);

@@ -403,7 +403,8 @@ std::string ReferenceIdentityKey(const Element& e, SimilarityKind kind) {
 
 // The dense verifier's string-map reduction: R elements pair with S
 // elements of the same key while S has unpaired copies left, and S drops
-// the first k occurrences of each key R paired k times.
+// the first k occurrences of each key R paired k times. A Jaccard element
+// without tokens (φ = 0 even against itself) never pairs.
 size_t ReferenceSelect(const SetRecord& r, const SetRecord& s,
                        SimilarityKind kind, bool reduction,
                        std::vector<const Element*>* r_elems,
@@ -422,6 +423,10 @@ size_t ReferenceSelect(const SetRecord& r, const SetRecord& s,
   }
   std::unordered_map<std::string, int> consumed;
   for (const Element& e : r.elements) {
+    if (!IsEditSimilarity(kind) && e.tokens.empty()) {
+      r_elems->push_back(&e);
+      continue;
+    }
     const std::string key = ReferenceIdentityKey(e, kind);
     auto it = s_counts.find(key);
     const int available = it == s_counts.end() ? 0 : it->second;

@@ -1,9 +1,13 @@
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/env.h"
+#include "util/parallel.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 
@@ -76,6 +80,43 @@ TEST(TimerTest, RestartResets) {
   const double before = timer.ElapsedSeconds();
   timer.Restart();
   EXPECT_LE(timer.ElapsedSeconds(), before + 1.0);
+}
+
+TEST(ParallelTest, ChunksCoverTheRangeOnceInOrder) {
+  for (const size_t parts : {size_t{1}, size_t{4}}) {
+    for (const size_t n : {size_t{0}, size_t{1}, parts - 1, parts,
+                           10 * parts + 3}) {
+      const size_t per = (n + parts - 1) / parts;
+      size_t next = 0;
+      for (size_t i = 0; i < parts; ++i) {
+        const auto [begin, end] = Chunk(n, parts, i);
+        EXPECT_EQ(begin, next) << "n=" << n << " parts=" << parts;
+        EXPECT_LE(begin, end);
+        EXPECT_LE(end - begin, per);
+        next = end;
+      }
+      EXPECT_EQ(next, n) << "n=" << n << " parts=" << parts;
+    }
+  }
+}
+
+TEST(ParallelTest, OneWorkerRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran;
+  RunWorkers(1, [&](size_t w) {
+    EXPECT_EQ(w, 0u);
+    ran.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(ran.size(), 1u);
+  EXPECT_EQ(ran[0], caller);
+}
+
+TEST(ParallelTest, EveryWorkerRunsExactlyOnce) {
+  std::vector<std::atomic<int>> calls(4);
+  RunWorkers(4, [&](size_t w) { calls.at(w).fetch_add(1); });
+  for (size_t w = 0; w < calls.size(); ++w) {
+    EXPECT_EQ(calls[w].load(), 1) << "worker " << w;
+  }
 }
 
 }  // namespace
