@@ -1,10 +1,11 @@
 // Component micro-benchmarks (google-benchmark): Levenshtein variants,
 // Hungarian matching, reduction-based verification, bound-guided
 // verification decisions, inverted index build, signature generation,
-// candidate selection on the reusable query scratch, and NN search. These
-// are ablations for the design choices DESIGN.md calls out; they are not
-// paper figures.
+// candidate selection on the reusable query scratch, and NN search by
+// probing the index vs scanning the set. These are ablations for the design
+// choices DESIGN.md calls out; they are not paper figures.
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -295,26 +296,106 @@ BENCHMARK(BM_SignatureGeneration)
     ->Arg(static_cast<int>(SignatureSchemeKind::kSkyline))
     ->Arg(static_cast<int>(SignatureSchemeKind::kDichotomy));
 
-void BM_NnSearch(benchmark::State& state) {
-  Collection data = ColumnData(200, 14, 30);
+// --- NN search: probe the index vs scan the set ---------------------------
+
+// One corpus and its index, with the (r, S) pairs the NN benchmarks cycle
+// through: 512 seeded pairs of an element of one set and another set.
+struct NnShape {
+  Collection data;
   InvertedIndex index;
-  index.Build(data);
   Options options;
-  options.metric = Relatedness::kContainment;
-  const ElementSimilarity* sim = GetSimilarity(options.phi);
-  const bool reuse = state.range(0) != 0;
+  std::vector<std::pair<const Element*, uint32_t>> pairs;
+};
+
+NnShape MakeNnShape(Collection data, Options options) {
+  NnShape shape{std::move(data), {}, options, {}};
+  shape.index.Build(shape.data);
+  Rng rng(5);
+  const size_t n = shape.data.sets.size();
+  while (shape.pairs.size() < 512) {
+    const SetRecord& r = shape.data.sets[rng.NextBounded(n)];
+    if (r.Empty()) continue;
+    shape.pairs.emplace_back(&r.elements[rng.NextBounded(r.Size())],
+                             static_cast<uint32_t>(rng.NextBounded(n)));
+  }
+  return shape;
+}
+
+// Arg 0: title-shaped, the titles-eds-join corpus at a quarter of its size
+// (5-12 words per set, q-grams of α = 0.8, Eds). Arg 1: column-shaped, the
+// columns-topk-search corpus at a fifth of its size (14-30 cells per set,
+// word tokens, Jaccard).
+const NnShape& NnShapeFor(int64_t arg) {
+  static const NnShape titles = [] {
+    Options o;
+    o.phi = SimilarityKind::kEds;
+    o.alpha = 0.8;
+    DblpParams p;
+    p.num_titles = 2000;
+    return MakeNnShape(BuildCollection(GenerateDblpSets(p),
+                                       TokenizerKind::kQGram, o.EffectiveQ()),
+                       o);
+  }();
+  static const NnShape columns = [] {
+    Options o;
+    o.metric = Relatedness::kContainment;
+    return MakeNnShape(ColumnData(4000, 14, 30), o);
+  }();
+  return arg == 0 ? titles : columns;
+}
+
+// Runs `search` over the shape's pairs; reports the share of pairs on which
+// NnSearch would scan, and φ calls per search.
+template <typename Search>
+void RunNnBench(benchmark::State& state, Search search) {
+  const NnShape& shape = NnShapeFor(state.range(0));
+  const ElementSimilarity* sim = GetSimilarity(shape.options.phi);
   QueryScratch scratch;
+  NnFilterStats stats;
   size_t i = 0;
   for (auto _ : state) {
-    const Element& r = data.sets[0].elements[i++ % data.sets[0].Size()];
-    benchmark::DoNotOptimize(
-        NnSearch(r, static_cast<uint32_t>(1 + i % 100), data, index, options,
-                 nullptr, sim, reuse ? &scratch : nullptr));
+    const auto& [r, set_id] = shape.pairs[i++ % shape.pairs.size()];
+    benchmark::DoNotOptimize(search(*r, set_id, shape, sim, &scratch, &stats));
   }
+  size_t scans = 0;
+  for (const auto& [r, set_id] : shape.pairs) {
+    scans += NnScanIsCheaper(*r, shape.data.sets[set_id].Size(), shape.index);
+  }
+  state.counters["scan_share"] = static_cast<double>(scans) /
+                                 static_cast<double>(shape.pairs.size());
+  state.counters["phi_per_search"] =
+      static_cast<double>(stats.similarity_calls) /
+      static_cast<double>(std::max<size_t>(i, 1));
 }
-BENCHMARK(BM_NnSearch)
-    ->Arg(0)   // Private visited marks per call.
-    ->Arg(1);  // Reused epoch-stamped marks.
+
+void BM_NnSearchProbe(benchmark::State& state) {
+  RunNnBench(state, [](const Element& r, uint32_t s, const NnShape& shape,
+                       const ElementSimilarity* sim, QueryScratch* scratch,
+                       NnFilterStats* stats) {
+    return NnSearchProbe(r, s, shape.data, shape.index, shape.options, stats,
+                         sim, scratch);
+  });
+}
+BENCHMARK(BM_NnSearchProbe)->Arg(0)->Arg(1);
+
+void BM_NnSearchScan(benchmark::State& state) {
+  RunNnBench(state, [](const Element& r, uint32_t s, const NnShape& shape,
+                       const ElementSimilarity* sim, QueryScratch*,
+                       NnFilterStats* stats) {
+    return NnSearchScan(r, s, shape.data, shape.options, stats, sim);
+  });
+}
+BENCHMARK(BM_NnSearchScan)->Arg(0)->Arg(1);
+
+void BM_NnSearch(benchmark::State& state) {
+  RunNnBench(state, [](const Element& r, uint32_t s, const NnShape& shape,
+                       const ElementSimilarity* sim, QueryScratch* scratch,
+                       NnFilterStats* stats) {
+    return NnSearch(r, s, shape.data, shape.index, shape.options, stats, sim,
+                    scratch);
+  });
+}
+BENCHMARK(BM_NnSearch)->Arg(0)->Arg(1);  // The per-(r, S) choice.
 
 void BM_HistogramRecord(benchmark::State& state) {
   // The per-request hot path of the bench runner: one Record per served

@@ -4,23 +4,39 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "filter/check_filter.h"
 
 namespace silkmoth {
 
+/// One probed best of the check filter: the maximum φ_α of reference
+/// element `elem` over its probed matches in one candidate set. A
+/// candidate's entries form a chain through `prev`, newest (highest `elem`)
+/// first, ending at kNoBest.
+struct BestEntry {
+  uint32_t elem;  ///< Element index i of the reference.
+  uint32_t prev;  ///< Next-older entry of the same candidate, or kNoBest.
+  double best;    ///< max φ_α(r_i, s) over the probed matches s.
+};
+
 /// Reusable per-thread scratch space for one search pass.
 ///
-/// The filter hot loops need two transient maps per query: set id → candidate
-/// accumulator (candidate selection, Algorithm 1) and element id → visited
-/// flag (NN search, Section 5.2). Hash maps pay a hash + probe per posting
-/// and a fresh allocation per query; this scratch replaces both with dense
-/// arrays stamped by a monotonically increasing epoch, so "clearing" between
+/// The filter hot loops need three transient structures per query: set id →
+/// candidate accumulator and the candidates' probed bests (candidate
+/// selection, Algorithm 1), and element id → visited flag (NN search,
+/// Section 5.2). Hash maps pay a hash + probe per posting and a fresh
+/// allocation per query; this scratch replaces the maps with dense arrays
+/// stamped by a monotonically increasing epoch, so "clearing" between
 /// queries is one counter increment and a slot is live only when its stamp
-/// equals the current epoch. Arrays grow to the collection's set count (and
-/// the largest probed set's element count) once and are reused for every
-/// subsequent reference — discovery keeps one scratch per worker thread.
+/// equals the current epoch. Every candidate's bests share one flat arena,
+/// `bests`, emptied (capacity kept) by BeginQuery. Arrays grow to the
+/// collection's set count (and the largest probed set's element count) once
+/// and are reused for every subsequent reference.
+///
+/// Candidates returned by the filters point into `bests`: they stay
+/// readable until the next BeginQuery or ShrinkTo on the same scratch.
 ///
 /// Not thread-safe; use one instance per thread.
 struct QueryScratch {
@@ -29,6 +45,7 @@ struct QueryScratch {
   std::vector<Candidate> set_cand;     ///< Accumulator slot per set id.
   std::vector<uint8_t> set_size_ok;    ///< Size-bound verdict per set id.
   std::vector<uint32_t> touched_sets;  ///< Set ids touched this query.
+  std::vector<BestEntry> bests;        ///< Every candidate's best chain.
   uint64_t query_epoch = 0;
 
   // --- NN-search visited marks ---------------------------------------------
@@ -39,6 +56,27 @@ struct QueryScratch {
   void BeginQuery() {
     ++query_epoch;
     touched_sets.clear();
+    bests.clear();
+  }
+
+  /// Appends (elem, best) in front of the chain starting at `head` and
+  /// returns the new head.
+  uint32_t PushBest(uint32_t elem, uint32_t head, double best) {
+    bests.push_back({elem, head, best});
+    return static_cast<uint32_t>(bests.size() - 1);
+  }
+
+  /// `cand`'s probed bests as (elem idx, max φ_α) in ascending elem order.
+  /// The filters walk the chain in place; this copy is for tests and
+  /// diagnostics.
+  std::vector<std::pair<uint32_t, double>> BestsOf(const Candidate& cand)
+      const {
+    std::vector<std::pair<uint32_t, double>> out;
+    for (uint32_t e = cand.head; e != kNoBest; e = bests[e].prev) {
+      out.emplace_back(bests[e].elem, bests[e].best);
+    }
+    std::reverse(out.begin(), out.end());
+    return out;
   }
 
   /// Marks `set_id` live for this query. Returns true on the first touch,
@@ -97,6 +135,7 @@ struct QueryScratch {
     std::vector<uint8_t>(num_sets, 0).swap(set_size_ok);
     touched_sets.clear();
     touched_sets.shrink_to_fit();
+    std::vector<BestEntry>().swap(bests);
     // elem_epoch is deliberately left alone: it is sized by the largest
     // probed set's element count (not the set universe), so it is small,
     // and judging it by a num_sets-derived cap would thrash workloads
@@ -106,6 +145,16 @@ struct QueryScratch {
  private:
   int shrink_votes_ = 0;  ///< Consecutive ShrinkTo calls wanting a shrink.
 };
+
+/// The calling thread's scratch: what every filter and RunSearchPass use
+/// when the caller passes none. Reused across passes, references and
+/// shards, so repeated passes pay the dense-array allocation once (epoch
+/// stamping keeps stale state invisible, which makes cross-shard reuse
+/// exactly as safe as cross-reference reuse).
+inline QueryScratch& ThreadScratch() {
+  static thread_local QueryScratch scratch;
+  return scratch;
+}
 
 }  // namespace silkmoth
 

@@ -21,18 +21,6 @@ bool IsBetterMatch(const SearchMatch& a, const SearchMatch& b) {
   return a.set_id < b.set_id;
 }
 
-/// The calling thread's scratch, the one used when a caller passes none:
-/// reused across passes, references and shards, so repeated passes pay the
-/// dense-array allocation once (epoch stamping keeps stale state
-/// invisible, which makes cross-shard reuse exactly as safe as
-/// cross-reference reuse). ShrinkTo bounds the retention when a past pass
-/// over a much larger collection left oversized buffers behind.
-QueryScratch& ThreadScratch(size_t num_sets) {
-  static thread_local QueryScratch scratch;
-  scratch.ShrinkTo(num_sets);
-  return scratch;
-}
-
 }  // namespace
 
 std::vector<SearchMatch> RunSearchPass(const SetRecord& ref,
@@ -50,7 +38,12 @@ std::vector<SearchMatch> RunSearchPass(const SetRecord& ref,
   // Resolve the element similarity once for the whole pass; every stage
   // below (filters, NN searches, verification) reuses this pointer.
   const ElementSimilarity* sim = GetSimilarity(options.phi);
-  if (scratch == nullptr) scratch = &ThreadScratch(data.sets.size());
+  if (scratch == nullptr) {
+    // ShrinkTo bounds the retention when a past pass over a much larger
+    // collection left oversized buffers behind.
+    scratch = &ThreadScratch();
+    scratch->ShrinkTo(data.sets.size());
+  }
 
   WallTimer timer;
   if (stats != nullptr) ++stats->references;

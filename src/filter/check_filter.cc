@@ -14,8 +14,7 @@ std::vector<Candidate> SelectAndCheckCandidates(
     CheckFilterStats* stats, const ElementSimilarity* sim,
     QueryScratch* scratch) {
   if (sim == nullptr) sim = GetSimilarity(options.phi);
-  QueryScratch local;
-  QueryScratch& sc = scratch != nullptr ? *scratch : local;
+  QueryScratch& sc = scratch != nullptr ? *scratch : ThreadScratch();
   sc.BeginQuery();
 
   for (uint32_t i = 0; i < sig.probe.size(); ++i) {
@@ -24,10 +23,7 @@ std::vector<Candidate> SelectAndCheckCandidates(
       for (const Posting& p : index.List(t)) {
         if (stats != nullptr) ++stats->postings_scanned;
         if (sc.TouchSet(p.set_id)) {
-          Candidate& c = sc.set_cand[p.set_id];
-          c.set_id = p.set_id;
-          c.best.clear();
-          c.strong = false;
+          sc.set_cand[p.set_id] = Candidate{p.set_id, kNoBest, false};
           sc.set_size_ok[p.set_id] =
               SizeFeasible(ref.Size(), data.sets[p.set_id].Size(), options);
           if (stats != nullptr) {
@@ -41,11 +37,13 @@ std::vector<Candidate> SelectAndCheckCandidates(
             sim->ScoreThresholded(r_elem, s_elem, options.alpha);
         if (stats != nullptr) ++stats->similarity_calls;
         Candidate& c = sc.set_cand[p.set_id];
-        auto& best = c.best;
-        if (!best.empty() && best.back().first == i) {
-          best.back().second = std::max(best.back().second, score);
+        // Probe elements run in ascending i, so the head is i's entry if
+        // this set already matched r_i.
+        if (c.head != kNoBest && sc.bests[c.head].elem == i) {
+          double& best = sc.bests[c.head].best;
+          best = std::max(best, score);
         } else {
-          best.emplace_back(i, score);
+          c.head = sc.PushBest(i, c.head, score);
         }
         if (score >= sig.check_threshold[i] - kFloatSlack) {
           c.strong = true;
@@ -65,12 +63,12 @@ std::vector<Candidate> SelectAndCheckCandidates(
   out.reserve(sc.touched_sets.size());
   for (uint32_t set_id : sc.touched_sets) {
     if (!sc.set_size_ok[set_id]) continue;
-    Candidate& c = sc.set_cand[set_id];
+    const Candidate& c = sc.set_cand[set_id];
     if (apply_check && bound_certifies && !c.strong) {
       if (stats != nullptr) ++stats->check_filtered;
       continue;
     }
-    out.push_back(std::move(c));
+    out.push_back(c);
   }
   return out;
 }
@@ -87,10 +85,7 @@ std::vector<Candidate> AllCandidates(const SetRecord& ref,
   std::vector<Candidate> out;
   for (uint32_t s = begin; s < end; ++s) {
     if (!SizeFeasible(ref.Size(), data.sets[s].Size(), options)) continue;
-    Candidate c;
-    c.set_id = s;
-    c.strong = true;
-    out.push_back(std::move(c));
+    out.push_back(Candidate{s, kNoBest, true});
   }
   return out;
 }

@@ -1,6 +1,8 @@
 #include "filter/nn_filter.h"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 
 #include "core/query_scratch.h"
 #include "core/relatedness.h"
@@ -8,48 +10,73 @@
 
 namespace silkmoth {
 
+namespace {
+
+// Elements of the target sharing no token with r_elem still have bounded
+// similarity: exactly 0 for Jaccard (word overlap is required), and at most
+// |r|/(|r|+g) for the edit similarities, where g is r's q-chunk count (a
+// string missing every q-gram of r misses every chunk, so LD >= g, Section
+// 7.1). Both searches start from this floor.
+double UnsharedFloor(const Element& r_elem, const Options& options) {
+  if (!IsEditSimilarity(options.phi) || r_elem.chunks.empty()) return 0.0;
+  const double len = static_cast<double>(r_elem.text.size());
+  const double unshared =
+      len / (len + static_cast<double>(r_elem.chunks.size()));
+  return unshared >= options.alpha - kFloatSlack ? unshared : 0.0;
+}
+
+// True when the sorted, deduplicated token lists share a token.
+bool SharesToken(std::span<const TokenId> a, std::span<const TokenId> b) {
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return true;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool NnScanIsCheaper(const Element& r_elem, size_t set_size,
+                     const InvertedIndex& index) {
+  const size_t scan = set_size * (r_elem.tokens.size() + 2);
+  size_t probe = 0;
+  for (TokenId t : r_elem.tokens) {
+    probe += 2 * (std::bit_width(index.ListSize(t)) + 1);
+    if (probe > scan) return true;
+  }
+  return false;
+}
+
 double NnSearch(const Element& r_elem, uint32_t set_id,
                 const Collection& data, const InvertedIndex& index,
                 const Options& options, NnFilterStats* stats,
                 const ElementSimilarity* sim, QueryScratch* scratch) {
+  if (NnScanIsCheaper(r_elem, data.sets[set_id].Size(), index)) {
+    return NnSearchScan(r_elem, set_id, data, options, stats, sim);
+  }
+  return NnSearchProbe(r_elem, set_id, data, index, options, stats, sim,
+                       scratch);
+}
+
+double NnSearchProbe(const Element& r_elem, uint32_t set_id,
+                     const Collection& data, const InvertedIndex& index,
+                     const Options& options, NnFilterStats* stats,
+                     const ElementSimilarity* sim, QueryScratch* scratch) {
   if (sim == nullptr) sim = GetSimilarity(options.phi);
   const SetRecord& target = data.sets[set_id];
-
-  // Elements of `target` sharing no token with r_elem still have bounded
-  // similarity: exactly 0 for Jaccard (word overlap is required), and at
-  // most |r|/(|r|+g) for the edit similarities, where g is r's q-chunk
-  // count (a string missing every q-gram of r misses every chunk, so
-  // LD >= g, Section 7.1). The returned value is therefore the exact NN for
-  // Jaccard and a tight upper bound for Eds/NEds — which is all the NN
-  // filter needs.
-  double floor = 0.0;
-  if (IsEditSimilarity(options.phi) && !r_elem.chunks.empty()) {
-    const double len = static_cast<double>(r_elem.text.size());
-    const double unshared =
-        len / (len + static_cast<double>(r_elem.chunks.size()));
-    if (unshared >= options.alpha - kFloatSlack) floor = unshared;
-  }
-
-  // Visit every element of `target` sharing at least one token with r_elem.
-  // With a scratch, epoch-stamped marks keep φ computed once per element at
-  // O(1) per posting; without one (one-shot callers) a small visited list
-  // proportional to the elements actually reached avoids paying an
-  // O(|target|) allocation per call.
-  std::vector<uint32_t> local_visited;
-  if (scratch != nullptr) scratch->BeginNnSearch(target.Size());
-  auto first_visit = [&](uint32_t elem_id) {
-    if (scratch != nullptr) return scratch->VisitElem(elem_id);
-    if (std::find(local_visited.begin(), local_visited.end(), elem_id) !=
-        local_visited.end()) {
-      return false;
-    }
-    local_visited.push_back(elem_id);
-    return true;
-  };
-  double best = floor;
+  // Epoch-stamped marks keep φ computed once per element at O(1) per
+  // posting.
+  QueryScratch& sc = scratch != nullptr ? *scratch : ThreadScratch();
+  sc.BeginNnSearch(target.Size());
+  double best = UnsharedFloor(r_elem, options);
   for (TokenId t : r_elem.tokens) {
     for (const Posting& p : index.ListInSet(t, set_id)) {
-      if (!first_visit(p.elem_id)) continue;
+      if (!sc.VisitElem(p.elem_id)) continue;
       const double s = sim->ScoreThresholded(
           r_elem, target.elements[p.elem_id], options.alpha);
       if (stats != nullptr) ++stats->similarity_calls;
@@ -60,23 +87,38 @@ double NnSearch(const Element& r_elem, uint32_t set_id,
   return best;
 }
 
+double NnSearchScan(const Element& r_elem, uint32_t set_id,
+                    const Collection& data, const Options& options,
+                    NnFilterStats* stats, const ElementSimilarity* sim) {
+  if (sim == nullptr) sim = GetSimilarity(options.phi);
+  double best = UnsharedFloor(r_elem, options);
+  for (const Element& s_elem : data.sets[set_id].elements) {
+    if (!SharesToken(r_elem.tokens, s_elem.tokens)) continue;
+    const double s = sim->ScoreThresholded(r_elem, s_elem, options.alpha);
+    if (stats != nullptr) ++stats->similarity_calls;
+    best = std::max(best, s);
+    if (best >= 1.0 - kFloatSlack) return best;  // Cannot improve.
+  }
+  return best;
+}
+
 std::vector<Candidate> NnFilterCandidates(
     const SetRecord& ref, const Signature& sig,
     std::vector<Candidate> candidates, const Collection& data,
     const InvertedIndex& index, const Options& options, NnFilterStats* stats,
     const ElementSimilarity* sim, QueryScratch* scratch) {
   if (sim == nullptr) sim = GetSimilarity(options.phi);
+  QueryScratch& sc = scratch != nullptr ? *scratch : ThreadScratch();
   const double theta = MatchingThreshold(options.delta, ref.Size());
   const size_t n = ref.Size();
-
-  std::vector<Candidate> out;
-  out.reserve(candidates.size());
 
   // Scratch: per-element estimate and whether it is already exact.
   std::vector<double> est(n);
   std::vector<uint8_t> exact(n);
 
-  for (Candidate& cand : candidates) {
+  // Survivors are compacted to the front of `candidates`, in order.
+  size_t kept = 0;
+  for (const Candidate& cand : candidates) {
     // Initialize with miss bounds, then fold in the check filter's probed
     // similarities (computation reuse, Section 5.2): a probed best that
     // reaches the miss bound dominates every unprobed element, so it IS the
@@ -87,10 +129,11 @@ std::vector<Candidate> NnFilterCandidates(
       est[i] = sig.miss_bound[i];
       exact[i] = 0;
     }
-    for (const auto& [elem, best] : cand.best) {
-      if (best >= sig.miss_bound[elem] - kFloatSlack) {
-        est[elem] = best;
-        exact[elem] = 1;
+    for (uint32_t e = cand.head; e != kNoBest; e = sc.bests[e].prev) {
+      const BestEntry& b = sc.bests[e];
+      if (b.best >= sig.miss_bound[b.elem] - kFloatSlack) {
+        est[b.elem] = b.best;
+        exact[b.elem] = 1;
       }
       // Otherwise the probed matches are all weaker than the miss bound and
       // elements outside the probe set may still reach it: keep the bound.
@@ -103,7 +146,7 @@ std::vector<Candidate> NnFilterCandidates(
         if (exact[i]) continue;
         if (stats != nullptr) ++stats->nn_searches;
         const double nn = NnSearch(ref.elements[i], cand.set_id, data, index,
-                                   options, stats, sim, scratch);
+                                   options, stats, sim, &sc);
         total += nn - est[i];
         est[i] = nn;
         exact[i] = 1;
@@ -119,9 +162,10 @@ std::vector<Candidate> NnFilterCandidates(
       if (stats != nullptr) ++stats->nn_filtered;
       continue;
     }
-    out.push_back(std::move(cand));
+    candidates[kept++] = cand;
   }
-  return out;
+  candidates.resize(kept);
+  return candidates;
 }
 
 }  // namespace silkmoth

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/query_scratch.h"
+#include "filter/nn_filter.h"
 #include "paper_example.h"
 #include "sig/scheme.h"
 #include "text/tokenizer.h"
@@ -66,22 +68,53 @@ TEST(CheckFilterTest, PaperExample8Similarities) {
                                         ContainOptions(), true);
   const Candidate* s3 = Find(cands, 2);
   ASSERT_NE(s3, nullptr);
-  ASSERT_EQ(s3->best.size(), 2u);  // Elements r1 and r3 probed S3.
-  EXPECT_EQ(s3->best[0].first, 0u);
-  EXPECT_NEAR(s3->best[0].second, 5.0 / 6.0, 1e-12);
-  EXPECT_EQ(s3->best[1].first, 2u);
-  EXPECT_NEAR(s3->best[1].second, 2.0 / 7.0, 1e-12);
+  // A null scratch is the calling thread's: the bests live there.
+  const auto s3_bests = ThreadScratch().BestsOf(*s3);
+  ASSERT_EQ(s3_bests.size(), 2u);  // Elements r1 and r3 probed S3.
+  EXPECT_EQ(s3_bests[0].first, 0u);
+  EXPECT_NEAR(s3_bests[0].second, 5.0 / 6.0, 1e-12);
+  EXPECT_EQ(s3_bests[1].first, 2u);
+  EXPECT_NEAR(s3_bests[1].second, 2.0 / 7.0, 1e-12);
   EXPECT_TRUE(s3->strong);
 
   const Candidate* s4 = Find(cands, 3);
   ASSERT_NE(s4, nullptr);
   // r1 vs s41 = 0.8; r2 vs s42 = 1.0 and vs s43 = 3/7 (max is 1.0). r3's
   // signature tokens t11/t12 have no postings in S4, so only two entries.
-  ASSERT_EQ(s4->best.size(), 2u);
-  EXPECT_EQ(s4->best[0].first, 0u);
-  EXPECT_NEAR(s4->best[0].second, 0.8, 1e-12);
-  EXPECT_EQ(s4->best[1].first, 1u);
-  EXPECT_NEAR(s4->best[1].second, 1.0, 1e-12);
+  const auto s4_bests = ThreadScratch().BestsOf(*s4);
+  ASSERT_EQ(s4_bests.size(), 2u);
+  EXPECT_EQ(s4_bests[0].first, 0u);
+  EXPECT_NEAR(s4_bests[0].second, 0.8, 1e-12);
+  EXPECT_EQ(s4_bests[1].first, 1u);
+  EXPECT_NEAR(s4_bests[1].second, 1.0, 1e-12);
+}
+
+TEST(CheckFilterTest, NullScratchCandidatesStayReadableAfterReturn) {
+  // Candidates from a null-scratch call point into the calling thread's
+  // scratch: after the call returns they must read exactly what a caller-
+  // owned scratch holds for the same query, and stay readable across
+  // unrelated work until the thread's next query.
+  auto ex = MakePaperExample();
+  InvertedIndex index;
+  index.Build(ex.data);
+  Signature sig = PaperSignature(ex, index);
+  const auto cands = SelectAndCheckCandidates(ex.ref, sig, ex.data, index,
+                                              ContainOptions(), false);
+  // Unrelated work in between: a query on another scratch, and an NN search
+  // on this thread's scratch (it uses only the visited marks).
+  NnSearch(ex.ref.elements[0], 2, ex.data, index, ContainOptions());
+  QueryScratch own;
+  const auto own_cands =
+      SelectAndCheckCandidates(ex.ref, sig, ex.data, index, ContainOptions(),
+                               false, nullptr, nullptr, &own);
+  ASSERT_EQ(cands.size(), own_cands.size());
+  ASSERT_EQ(cands.size(), 3u);
+  for (size_t k = 0; k < cands.size(); ++k) {
+    EXPECT_EQ(cands[k].set_id, own_cands[k].set_id);
+    EXPECT_EQ(cands[k].strong, own_cands[k].strong);
+    EXPECT_EQ(ThreadScratch().BestsOf(cands[k]), own.BestsOf(own_cands[k]));
+    EXPECT_FALSE(own.BestsOf(own_cands[k]).empty());
+  }
 }
 
 TEST(CheckFilterTest, DisabledCheckKeepsWeakCandidates) {
@@ -162,7 +195,7 @@ TEST(CheckFilterTest, AllCandidatesFallback) {
   EXPECT_EQ(cands.size(), 4u);
   for (const Candidate& c : cands) {
     EXPECT_TRUE(c.strong);
-    EXPECT_TRUE(c.best.empty());
+    EXPECT_EQ(c.head, kNoBest);
   }
 }
 
@@ -174,8 +207,9 @@ TEST(CheckFilterTest, BestEntriesSortedUniquePerElement) {
   auto cands = SelectAndCheckCandidates(ex.ref, sig, ex.data, index,
                                         ContainOptions(), false);
   for (const Candidate& c : cands) {
-    for (size_t i = 1; i < c.best.size(); ++i) {
-      EXPECT_LT(c.best[i - 1].first, c.best[i].first);
+    const auto bests = ThreadScratch().BestsOf(c);
+    for (size_t i = 1; i < bests.size(); ++i) {
+      EXPECT_LT(bests[i - 1].first, bests[i].first);
     }
   }
 }

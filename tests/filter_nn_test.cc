@@ -1,10 +1,19 @@
 #include "filter/nn_filter.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "datagen/builders.h"
+#include "datagen/dblp.h"
+#include "datagen/webtable.h"
 #include "matching/verifier.h"
 #include "paper_example.h"
 #include "sig/scheme.h"
+#include "util/rng.h"
 
 namespace silkmoth {
 namespace {
@@ -65,6 +74,98 @@ TEST(NnSearchTest, AlphaCollapsesWeakNeighbors) {
   Options opt = ContainOptions(0.7, /*alpha=*/0.9);
   // r2's best neighbor in S3 is 0.125 < 0.9 -> 0 under φ_α.
   EXPECT_DOUBLE_EQ(NnSearch(ex.ref.elements[1], 2, ex.data, index, opt), 0.0);
+}
+
+// Seeded sets of 1 to 40 elements, each one to three words drawn from a
+// small vocabulary of overlapping words, so elements repeat within and
+// across sets and many pairs share q-grams without being equal.
+RawSets RandomSets(uint64_t seed, size_t num_sets) {
+  static const char* const kWords[] = {
+      "data",   "database", "datum",  "base",   "basis",  "query",
+      "queries", "quarry",  "join",   "joins",  "joint",  "set",
+      "sets",   "setting",  "match",  "matching", "batch", "latch",
+      "graph",  "graphs",   "paragraph", "index", "indices", "indexing"};
+  constexpr size_t kNumWords = sizeof(kWords) / sizeof(kWords[0]);
+  Rng rng(seed);
+  RawSets raw(num_sets);
+  for (auto& set : raw) {
+    const size_t size = 1 + rng.NextBounded(40);
+    for (size_t e = 0; e < size; ++e) {
+      std::string text = kWords[rng.NextBounded(kNumWords)];
+      for (uint64_t w = rng.NextBounded(3); w > 0; --w) {
+        text += ' ';
+        text += kWords[rng.NextBounded(kNumWords)];
+      }
+      set.push_back(text);
+    }
+  }
+  return raw;
+}
+
+struct NnConfig {
+  SimilarityKind phi;
+  double alpha;
+};
+
+TEST(NnSearchTest, ProbeAndScanAreBitIdentical) {
+  const NnConfig configs[] = {
+      {SimilarityKind::kJaccard, 0.0}, {SimilarityKind::kJaccard, 0.4},
+      {SimilarityKind::kEds, 0.0},     {SimilarityKind::kEds, 0.75},
+      {SimilarityKind::kNeds, 0.0},    {SimilarityKind::kNeds, 0.6}};
+  for (const NnConfig& cfg : configs) {
+    Options opt = ContainOptions(0.7, cfg.alpha);
+    opt.phi = cfg.phi;
+    const RawSets raw = RandomSets(/*seed=*/17 + cfg.alpha * 100, 30);
+    const Collection data =
+        IsEditSimilarity(cfg.phi)
+            ? BuildCollection(raw, TokenizerKind::kQGram, opt.EffectiveQ())
+            : BuildCollection(raw, TokenizerKind::kWord);
+    InvertedIndex index;
+    index.Build(data);
+    size_t positive = 0;
+    for (uint32_t r = 0; r < 8; ++r) {
+      for (const Element& e : data.sets[r].elements) {
+        for (uint32_t s = 0; s < data.sets.size(); ++s) {
+          const double probe = NnSearchProbe(e, s, data, index, opt);
+          const double scan = NnSearchScan(e, s, data, opt);
+          ASSERT_EQ(std::bit_cast<uint64_t>(probe),
+                    std::bit_cast<uint64_t>(scan))
+              << "phi " << static_cast<int>(cfg.phi) << " alpha "
+              << cfg.alpha << " set " << s << ": probe " << probe
+              << " scan " << scan;
+          ASSERT_EQ(std::bit_cast<uint64_t>(NnSearch(e, s, data, index, opt)),
+                    std::bit_cast<uint64_t>(probe));
+          if (probe > 0.0) ++positive;
+        }
+      }
+    }
+    EXPECT_GT(positive, 100u) << "phi " << static_cast<int>(cfg.phi);
+  }
+}
+
+TEST(NnSearchTest, ChoosesScanForTitlesAndProbeForColumns) {
+  // Titles: few words per set, and every q-gram of a word has a long list.
+  DblpParams titles;
+  titles.num_titles = 4000;
+  const Collection title_data = BuildCollection(
+      GenerateDblpSets(titles), TokenizerKind::kQGram, MaxQForAlpha(0.8));
+  InvertedIndex title_index;
+  title_index.Build(title_data);
+  const Element& word = title_data.sets[0].elements[0];
+  EXPECT_TRUE(
+      NnScanIsCheaper(word, title_data.sets[1].Size(), title_index));
+
+  // Columns: 14-30 cells per set, each cell a word or two with short lists.
+  WebTableParams columns = InclusionDependencyDefaults(4000);
+  columns.min_elements = 14;
+  columns.max_elements = 30;
+  const Collection column_data =
+      BuildCollection(GenerateColumnSets(columns), TokenizerKind::kWord);
+  InvertedIndex column_index;
+  column_index.Build(column_data);
+  const Element& cell = column_data.sets[0].elements[0];
+  EXPECT_FALSE(
+      NnScanIsCheaper(cell, column_data.sets[1].Size(), column_index));
 }
 
 TEST(NnFilterTest, PaperExample9PrunesS3KeepsS4) {

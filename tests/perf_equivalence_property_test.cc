@@ -1,10 +1,11 @@
 // Equivalence properties for the hot-path overhaul, on randomized corpora:
 //
 //  1. The epoch-stamped scratch candidate accumulator produces byte-identical
-//     candidate lists (ids, probed best-match vectors, strong flags, order)
-//     to the pre-refactor reference accumulator — an unordered_map rebuilt
-//     here exactly as check_filter.cc had it before the refactor — and its
-//     output is invariant under scratch reuse across queries.
+//     candidates (ids, probed (i, best) lists in ascending i, strong flags,
+//     order) to the pre-refactor reference accumulator — an unordered_map
+//     of per-candidate vectors rebuilt here exactly as check_filter.cc had
+//     it before the refactor — and its output is invariant under scratch
+//     reuse across queries.
 //  2. The bound-guided verifier (ScoreDecision) never changes an
 //     accept/reject decision relative to exact verification, its bounds
 //     always sandwich the exact matching score, and the exact Hungarian
@@ -96,15 +97,23 @@ Signature MakeSignature(const SetRecord& ref, const InvertedIndex& index,
   return GenerateSignature(ref, index, params);
 }
 
+// A candidate as the check filter produced it before the best arena: the
+// probed (elem idx, max φ_α) pairs in its own vector.
+struct ReferenceCandidate {
+  uint32_t set_id = 0;
+  std::vector<std::pair<uint32_t, double>> best;
+  bool strong = false;
+};
+
 // The candidate selection + check filter exactly as it was before the
 // scratch refactor: an unordered_map<set_id, Accum> accumulator, drained
 // into a vector sorted by set id.
-std::vector<Candidate> ReferenceSelectAndCheck(
+std::vector<ReferenceCandidate> ReferenceSelectAndCheck(
     const SetRecord& ref, const Signature& sig, const Collection& data,
     const InvertedIndex& index, const Options& options, bool apply_check) {
   const ElementSimilarity* sim = GetSimilarity(options.phi);
   struct Accum {
-    Candidate cand;
+    ReferenceCandidate cand;
     bool size_ok = true;
   };
   std::unordered_map<uint32_t, Accum> accum;
@@ -140,7 +149,7 @@ std::vector<Candidate> ReferenceSelectAndCheck(
   const double theta = MatchingThreshold(options.delta, ref.Size());
   const bool bound_certifies = sig.miss_bound_sum < theta - kFloatSlack;
 
-  std::vector<Candidate> out;
+  std::vector<ReferenceCandidate> out;
   out.reserve(accum.size());
   for (auto& [set_id, a] : accum) {
     if (!a.size_ok) continue;
@@ -148,23 +157,47 @@ std::vector<Candidate> ReferenceSelectAndCheck(
     out.push_back(std::move(a.cand));
   }
   std::sort(out.begin(), out.end(),
-            [](const Candidate& a, const Candidate& b) {
+            [](const ReferenceCandidate& a, const ReferenceCandidate& b) {
               return a.set_id < b.set_id;
             });
   return out;
 }
 
+// The NN filter without computation reuse or an index: every element's
+// nearest-neighbor similarity by brute force over S. Σ_i NN_i bounds the
+// matching score from above, so this prunes no related set, just as the
+// engine's NN filter must not.
+std::vector<ReferenceCandidate> ReferenceNnFilter(
+    const SetRecord& ref, std::vector<ReferenceCandidate> cands,
+    const Collection& data, const Options& options) {
+  const ElementSimilarity* sim = GetSimilarity(options.phi);
+  const double theta = MatchingThreshold(options.delta, ref.Size());
+  std::vector<ReferenceCandidate> out;
+  for (ReferenceCandidate& cand : cands) {
+    double total = 0.0;
+    for (const Element& r : ref.elements) {
+      double nn = 0.0;
+      for (const Element& s : data.sets[cand.set_id].elements) {
+        nn = std::max(nn, sim->ScoreThresholded(r, s, options.alpha));
+      }
+      total += nn;
+    }
+    if (total >= theta - kFloatSlack) out.push_back(std::move(cand));
+  }
+  return out;
+}
+
 // The verification loop exactly as it was before the bound fast path: an
 // unconditional exact maximum matching followed by the IsRelated test.
-std::vector<SearchMatch> ReferenceVerify(const SetRecord& ref,
-                                         const std::vector<Candidate>& cands,
+std::vector<SearchMatch> ReferenceVerify(
+    const SetRecord& ref, const std::vector<ReferenceCandidate>& cands,
                                          const Collection& data,
                                          const Options& options,
                                          uint32_t exclude_set) {
   const MaxMatchingVerifier verifier(GetSimilarity(options.phi),
                                      options.alpha, options.reduction);
   std::vector<SearchMatch> results;
-  for (const Candidate& cand : cands) {
+  for (const ReferenceCandidate& cand : cands) {
     if (cand.set_id == exclude_set) continue;
     const SetRecord& s = data.sets[cand.set_id];
     const double m = verifier.Score(ref, s);
@@ -179,7 +212,7 @@ std::vector<SearchMatch> ReferenceVerify(const SetRecord& ref,
   return results;
 }
 
-// The full pre-refactor search pass: reference accumulator, shared NN
+// The full pre-refactor search pass: reference accumulator, brute-force NN
 // filter, exact verification.
 std::vector<SearchMatch> ReferenceSearchPass(const SetRecord& ref,
                                              const Collection& data,
@@ -188,16 +221,17 @@ std::vector<SearchMatch> ReferenceSearchPass(const SetRecord& ref,
                                              uint32_t exclude_set) {
   if (ref.Empty()) return {};
   const Signature sig = MakeSignature(ref, index, options);
-  std::vector<Candidate> cands;
+  std::vector<ReferenceCandidate> cands;
   if (sig.valid) {
     cands = ReferenceSelectAndCheck(ref, sig, data, index, options,
                                     options.check_filter || options.nn_filter);
     if (options.nn_filter) {
-      cands = NnFilterCandidates(ref, sig, std::move(cands), data, index,
-                                 options);
+      cands = ReferenceNnFilter(ref, std::move(cands), data, options);
     }
   } else {
-    cands = AllCandidates(ref, data, options);
+    for (const Candidate& c : AllCandidates(ref, data, options)) {
+      cands.push_back({c.set_id, {}, c.strong});
+    }
   }
   return ReferenceVerify(ref, cands, data, options, exclude_set);
 }
@@ -222,13 +256,22 @@ TEST_P(PerfEquivalenceSweep, ScratchAccumulatorMatchesReferenceByteForByte) {
     const Signature sig = MakeSignature(ref, index, opt);
     if (!sig.valid) continue;
     for (bool apply_check : {true, false}) {
-      const std::vector<Candidate> expected =
+      const std::vector<ReferenceCandidate> expected =
           ReferenceSelectAndCheck(ref, sig, data, index, opt, apply_check);
       const std::vector<Candidate> got = SelectAndCheckCandidates(
           ref, sig, data, index, opt, apply_check, nullptr, sim, &scratch);
-      ASSERT_EQ(got, expected)
-          << cfg.name << ": candidate mismatch, ref size " << ref.Size()
-          << ", apply_check " << apply_check;
+      ASSERT_EQ(got.size(), expected.size())
+          << cfg.name << ": candidate count mismatch, ref size "
+          << ref.Size() << ", apply_check " << apply_check;
+      for (size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].set_id, expected[k].set_id) << cfg.name;
+        ASSERT_EQ(got[k].strong, expected[k].strong) << cfg.name;
+        // `==` on the doubles: the arena must hold the very same maxima.
+        ASSERT_EQ(scratch.BestsOf(got[k]), expected[k].best)
+            << cfg.name << ": bests mismatch for set " << got[k].set_id
+            << ", ref size " << ref.Size() << ", apply_check "
+            << apply_check;
+      }
       if (!expected.empty()) ++nonempty;
     }
   }
